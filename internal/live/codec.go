@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/phonecall"
 	"repro/internal/rumorset"
@@ -131,6 +132,27 @@ func appendSummaryRespFrame(dst []byte, round, src int, ids []rumorset.ID) []byt
 	dst = binary.AppendUvarint(dst, uint64(src))
 	return rumorset.AppendSummary(dst, ids)
 }
+
+// newSummaryCallFrame encodes a summary call into a new buffer of exactly the
+// frame's length: the transport owns every sent frame, so this is the one
+// allocation per frame. sumSize must be rumorset.SummarySize(ids).
+func newSummaryCallFrame(round, src int, wantsPull bool, ids []rumorset.ID, sumSize int) []byte {
+	return appendSummaryCallFrame(make([]byte, 0, summaryFrameLen(round, src, sumSize)), round, src, wantsPull, ids)
+}
+
+// newSummaryRespFrame is newSummaryCallFrame for a pull response.
+func newSummaryRespFrame(round, src int, ids []rumorset.ID, sumSize int) []byte {
+	return appendSummaryRespFrame(make([]byte, 0, summaryFrameLen(round, src, sumSize)), round, src, ids)
+}
+
+// summaryFrameLen is the encoded length of a summary frame whose summary
+// block is sumSize bytes: type, flags, round, src, block.
+func summaryFrameLen(round, src, sumSize int) int {
+	return 2 + uvarintLen(uint64(round)) + uvarintLen(uint64(src)) + sumSize
+}
+
+// uvarintLen is the encoded length of v as a uvarint (7 bits per byte).
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // parseFrame decodes one frame.
 func parseFrame(data []byte) (frame, error) {

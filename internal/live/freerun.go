@@ -122,8 +122,9 @@ type frStats struct {
 	control  int64
 	bits     int64
 	sent     int64
+	bad      int64 // received frames that failed to parse, dropped
 	maxComms int32
-	_        [28]byte // pad to 64 bytes so adjacent nodes do not false-share
+	_        [20]byte // pad to 64 bytes so adjacent nodes do not false-share
 }
 
 // FreeRun executes gossip without a global barrier: every node advances its
@@ -229,6 +230,9 @@ type Report struct {
 	// MaxComms is the most communications any node participated in during
 	// one of its local rounds.
 	MaxComms int
+	// BadFrames counts received frames that failed to parse and were dropped
+	// (summed over nodes).
+	BadFrames int64
 	// Drops counts transport-level loss injections (channel transport).
 	Drops int64
 	// SendFailures counts frames the transport's sender could not hand to
@@ -441,6 +445,7 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 		rep.Messages += st.msgs
 		rep.ControlMessages += st.control
 		rep.Bits += st.bits
+		rep.BadFrames += st.bad
 		if int(st.maxComms) > rep.MaxComms {
 			rep.MaxComms = int(st.maxComms)
 		}
@@ -998,6 +1003,7 @@ func (fr *FreeRun) doRound(i, r int, drain [][]byte) [][]byte {
 	for _, raw := range drain {
 		f, err := parseFrame(raw)
 		if err != nil {
+			st.bad++
 			continue
 		}
 		if f.hasPayload && f.msg.Tag == tagHoldings {
@@ -1044,11 +1050,11 @@ func (fr *FreeRun) doRound(i, r int, drain [][]byte) [][]byte {
 	return drain
 }
 
-// summaryBits charges a rumor-ID summary with the simulator's wide-path
-// accounting: frame overhead, the summary encoding itself, and one b-bit
-// payload per carried rumor.
-func (fr *FreeRun) summaryBits(ids []rumorset.ID) int64 {
-	return int64(fr.overhead + rumorset.SummarySize(ids)*8 + len(ids)*fr.net.PayloadBits())
+// summaryBits charges a summary of count rumor IDs encoded in sumSize bytes
+// with the simulator's wide-path accounting: frame overhead, the summary
+// encoding itself, and one b-bit payload per carried rumor.
+func (fr *FreeRun) summaryBits(count, sumSize int) int64 {
+	return int64(fr.overhead + sumSize*8 + count*fr.net.PayloadBits())
 }
 
 // doRoundStream is doRound for rumor-stream mode: the node advertises the
@@ -1067,7 +1073,8 @@ func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
 	active := fr.set.Active()
 
 	sendSummary := func(j int, ids []rumorset.ID, wantsPull bool) {
-		size := fr.summaryBits(ids)
+		sumSize := rumorset.SummarySize(ids)
+		size := fr.summaryBits(len(ids), sumSize)
 		st.msgs++
 		st.bits += size
 		st.sent++
@@ -1075,7 +1082,7 @@ func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
 			fr.tel.msgs.AddShard(i, 1)
 			fr.tel.bitsSent.AddShard(i, size)
 		}
-		fr.tr.Send(i, j, appendSummaryCallFrame(nil, r, i, wantsPull, ids))
+		fr.tr.Send(i, j, newSummaryCallFrame(r, i, wantsPull, ids, sumSize))
 	}
 	sendPull := func(j int) {
 		size := int64(fr.net.ControlBits())
@@ -1121,6 +1128,7 @@ func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
 	for _, raw := range drain {
 		f, err := parseFrameBuf(raw, wb.sum[:0])
 		if err != nil {
+			st.bad++
 			continue
 		}
 		if f.hasSummary {
@@ -1144,7 +1152,8 @@ func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
 		resp := fr.set.AppendHeld(wb.ids[:0], i)
 		wb.ids = resp
 		if len(resp) > 0 {
-			size := fr.summaryBits(resp)
+			sumSize := rumorset.SummarySize(resp)
+			size := fr.summaryBits(len(resp), sumSize)
 			for _, src := range pulls {
 				st.msgs++
 				st.bits += size
@@ -1153,7 +1162,7 @@ func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
 					fr.tel.msgs.AddShard(i, 1)
 					fr.tel.bitsSent.AddShard(i, size)
 				}
-				fr.tr.Send(i, src, appendSummaryRespFrame(nil, r, i, resp))
+				fr.tr.Send(i, src, newSummaryRespFrame(r, i, resp, sumSize))
 			}
 		}
 	}

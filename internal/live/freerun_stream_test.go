@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -284,5 +285,40 @@ func TestSummaryFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := parseFrame(append(full, 0)); err == nil {
 		t.Error("trailing bytes after summary accepted")
+	}
+}
+
+// TestSummaryFrameAllocs locks the stream send path to one exactly-sized
+// allocation per frame: newSummaryCallFrame and newSummaryRespFrame encode
+// the same bytes as the append form into a buffer with no slack and no
+// regrowth, across single- and multi-byte round, src and delta varints.
+func TestSummaryFrameAllocs(t *testing.T) {
+	window := make([]rumorset.ID, 256)
+	for k := range window {
+		window[k] = rumorset.ID(1000 + k)
+	}
+	for _, tc := range []struct {
+		round, src int
+		ids        []rumorset.ID
+	}{
+		{1, 0, []rumorset.ID{7}},
+		{127, 127, []rumorset.ID{0, 1, 2}},
+		{300, 70000, window},
+		{1 << 30, 999, []rumorset.ID{3, 70, 71, 4096, 1 << 20, 1<<32 - 1}},
+	} {
+		size := rumorset.SummarySize(tc.ids)
+		var call, resp []byte
+		if avg := testing.AllocsPerRun(50, func() { call = newSummaryCallFrame(tc.round, tc.src, true, tc.ids, size) }); avg != 1 {
+			t.Errorf("round %d src %d: summary call frame makes %.1f allocations, want 1", tc.round, tc.src, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() { resp = newSummaryRespFrame(tc.round, tc.src, tc.ids, size) }); avg != 1 {
+			t.Errorf("round %d src %d: summary response frame makes %.1f allocations, want 1", tc.round, tc.src, avg)
+		}
+		if want := appendSummaryCallFrame(nil, tc.round, tc.src, true, tc.ids); !bytes.Equal(call, want) || cap(call) != len(want) {
+			t.Errorf("round %d src %d: call frame %d bytes (cap %d), want %d exact", tc.round, tc.src, len(call), cap(call), len(want))
+		}
+		if want := appendSummaryRespFrame(nil, tc.round, tc.src, tc.ids); !bytes.Equal(resp, want) || cap(resp) != len(want) {
+			t.Errorf("round %d src %d: response frame %d bytes (cap %d), want %d exact", tc.round, tc.src, len(resp), cap(resp), len(want))
+		}
 	}
 }

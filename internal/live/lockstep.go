@@ -1,9 +1,10 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/phonecall"
@@ -415,7 +416,7 @@ func (ls *LockStep) doDeliver(nd *lsNode) {
 	if len(nd.inbox) == 0 {
 		return
 	}
-	sort.Slice(nd.inbox, func(a, b int) bool { return nd.inbox[a].key < nd.inbox[b].key })
+	slices.SortFunc(nd.inbox, func(a, b lsEntry) int { return cmp.Compare(a.key, b.key) })
 	if ls.curDeliver == nil {
 		return
 	}

@@ -219,6 +219,9 @@ type PeerReport struct {
 	// progress); SendFailures counts kernel-refused writes.
 	SendMisses   int64
 	SendFailures int64
+	// BadFrames counts received frames that failed to parse and were
+	// dropped.
+	BadFrames int64
 	// TableContacts is the final routing-table size (0 on non-peer
 	// transports).
 	TableContacts int
@@ -241,6 +244,7 @@ type PeerNode struct {
 	sawNeedy bool // this round drained evidence of an uninformed peer
 
 	msgs, control, bitsSent int64
+	badFrames               int64
 	maxComms                int32
 
 	telMsgs *telemetry.Counter
@@ -373,6 +377,7 @@ loop:
 		ControlMessages: pn.control,
 		Bits:            pn.bitsSent,
 		MaxComms:        int(pn.maxComms),
+		BadFrames:       pn.badFrames,
 		Wall:            time.Since(start),
 	}
 	if pt, ok := pn.tr.(*PeerTransport); ok {
@@ -444,6 +449,7 @@ func (pn *PeerNode) doRound(r int, drain [][]byte) [][]byte {
 	for _, raw := range drain {
 		f, err := parseFrame(raw)
 		if err != nil {
+			pn.badFrames++
 			continue
 		}
 		if f.hasPayload && f.msg.Tag == tagHoldings {

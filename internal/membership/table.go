@@ -1,7 +1,8 @@
 package membership
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -155,8 +156,8 @@ func (t *Table) Closest(target ID, count int) []Contact {
 		out = append(out, t.buckets[bi].entries...)
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].ID.Distance(target) < out[j].ID.Distance(target)
+	slices.SortFunc(out, func(a, b Contact) int {
+		return cmp.Compare(a.ID.Distance(target), b.ID.Distance(target))
 	})
 	if len(out) > count {
 		out = out[:count]

@@ -4,12 +4,17 @@
 //
 // Rumor IDs come from an unbounded uint32 space; at any moment at most
 // MaxInFlight of them are active. Each active rumor owns a slot in a flat
-// per-node bit arena, so mark/query stay O(1) and a node's holdings stay one
-// cache-friendly bit row. When a rumor converges (every live node holds it)
-// it is expired: its slot is reclaimed for the next injection. On the wire,
-// summaries carry rumor IDs — never slots — so a stale frame advertising an
-// expired rumor fails the ID→slot lookup and is ignored instead of
-// mis-marking whatever rumor reused the slot.
+// per-node bit arena, so a node's holdings stay one cache-friendly bit row.
+// The active rumors are listed once, in an ID-ordered index (parallel ID and
+// slot arrays, strictly ascending by ID): AppendHeld walks it and emits a
+// node's holdings already sorted, MarkIDs resolves a sorted summary by one
+// linear merge against it, and single-ID lookups binary-search it. Stream IDs
+// increase, so registering a rumor almost always appends. When a rumor
+// converges (every live node holds it) it is expired: it leaves the index
+// and its slot is reclaimed for the next injection. On the wire, summaries
+// carry rumor IDs — never slots — so a stale frame advertising an expired
+// rumor finds no index entry and is ignored instead of mis-marking whatever
+// rumor reused the slot.
 //
 // Concurrency contract: Mark/MarkIDs/Has/AppendHeld take the table read lock
 // and may run concurrently; marks for node i must come from i's owner (its
@@ -48,12 +53,16 @@ type Set struct {
 	cap   int // max in-flight rumors (slots)
 	words int // ceil(cap/64): bit words per node row
 
-	mu     sync.RWMutex
-	slotOf map[ID]int // active rumors only
-	idOf   []ID       // slot → ID, valid while the slot is active
-	freeSl []int      // free slot stack
-	failed []bool     // per node; written under mu, read by Mark under RLock
-	liveN  int        // nodes not currently failed
+	mu sync.RWMutex
+	// actID/actSl are the ID-ordered active index: actID strictly ascending,
+	// actSl[k] the slot of rumor actID[k]. Only register and expireAt change
+	// them, under the write lock; both are preallocated to the window, so
+	// they never grow.
+	actID  []ID
+	actSl  []int
+	freeSl []int  // free slot stack
+	failed []bool // per node; written under mu, read by Mark under RLock
+	liveN  int    // nodes not currently failed
 
 	// held is the flat holdings arena: node i's row is
 	// held[i*words : (i+1)*words], bit s of the row = slot s. Bits are set
@@ -98,8 +107,8 @@ func New(n, maxInFlight int) (*Set, error) {
 		n:      n,
 		cap:    maxInFlight,
 		words:  words,
-		slotOf: make(map[ID]int, maxInFlight),
-		idOf:   make([]ID, maxInFlight),
+		actID:  make([]ID, 0, maxInFlight),
+		actSl:  make([]int, 0, maxInFlight),
 		freeSl: make([]int, 0, maxInFlight),
 		failed: make([]bool, n),
 		liveN:  n,
@@ -127,23 +136,35 @@ func (s *Set) Nodes() int { return s.n }
 func (s *Set) Register(id ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.register(id)
+	_, err := s.register(id)
+	return err
 }
 
-func (s *Set) register(id ID) error {
-	if _, ok := s.slotOf[id]; ok {
-		return nil
+// register activates id and returns its slot. Caller holds the write lock.
+func (s *Set) register(id ID) (int, error) {
+	k, ok := slices.BinarySearch(s.actID, id)
+	if ok {
+		return s.actSl[k], nil
 	}
 	if len(s.freeSl) == 0 {
-		return fmt.Errorf("%w (cap %d)", ErrFull, s.cap)
+		return 0, fmt.Errorf("%w (cap %d)", ErrFull, s.cap)
 	}
 	sl := s.freeSl[len(s.freeSl)-1]
 	s.freeSl = s.freeSl[:len(s.freeSl)-1]
-	s.slotOf[id] = sl
-	s.idOf[sl] = id
+	s.actID = slices.Insert(s.actID, k, id)
+	s.actSl = slices.Insert(s.actSl, k, sl)
 	s.live[sl].Store(0)
 	s.injected.Add(1)
-	return nil
+	return sl, nil
+}
+
+// slot returns the slot of an active rumor. Caller holds mu (either mode).
+func (s *Set) slot(id ID) (int, bool) {
+	k, ok := slices.BinarySearch(s.actID, id)
+	if !ok {
+		return 0, false
+	}
+	return s.actSl[k], true
 }
 
 // Inject registers the rumor and marks node as holding it. Injecting at a
@@ -155,13 +176,14 @@ func (s *Set) Inject(node int, id ID) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.register(id); err != nil {
+	sl, err := s.register(id)
+	if err != nil {
 		return err
 	}
 	if s.failed[node] {
 		s.lost.Add(1)
 	}
-	s.markLocked(node, s.slotOf[id])
+	s.markLocked(node, sl)
 	return nil
 }
 
@@ -188,7 +210,7 @@ func (s *Set) markLocked(node, sl int) {
 // summaries. Callable from node's owner goroutine only.
 func (s *Set) Mark(node int, id ID) {
 	s.mu.RLock()
-	if sl, ok := s.slotOf[id]; ok {
+	if sl, ok := s.slot(id); ok {
 		s.markLocked(node, sl)
 	}
 	s.mu.RUnlock()
@@ -196,15 +218,25 @@ func (s *Set) Mark(node int, id ID) {
 
 // MarkIDs merges a decoded summary into node's holdings: every known ID is
 // marked, unknown IDs are skipped, and the number of fresh marks is returned.
-// Callable from node's owner goroutine only.
+// A summary is strictly ascending, so the IDs are resolved by one linear
+// merge against the active index; a descending step (several summaries
+// concatenated) restarts the merge with a binary search. Callable from
+// node's owner goroutine only.
 func (s *Set) MarkIDs(node int, ids []ID) int {
 	fresh := 0
 	s.mu.RLock()
-	for _, id := range ids {
-		sl, ok := s.slotOf[id]
-		if !ok {
+	act, k := s.actID, 0
+	for x, id := range ids {
+		if x > 0 && id < ids[x-1] {
+			k, _ = slices.BinarySearch(act, id)
+		}
+		for k < len(act) && act[k] < id {
+			k++
+		}
+		if k == len(act) || act[k] != id {
 			continue
 		}
+		sl := s.actSl[k]
 		word := &s.held[node*s.words+sl>>6]
 		mask := uint64(1) << (sl & 63)
 		if word.Load()&mask != 0 {
@@ -224,7 +256,7 @@ func (s *Set) MarkIDs(node int, ids []ID) int {
 func (s *Set) Has(node int, id ID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sl, ok := s.slotOf[id]
+	sl, ok := s.slot(id)
 	if !ok {
 		return false
 	}
@@ -236,7 +268,7 @@ func (s *Set) Has(node int, id ID) bool {
 func (s *Set) LiveInformed(id ID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sl, ok := s.slotOf[id]
+	sl, ok := s.slot(id)
 	if !ok {
 		return 0
 	}
@@ -244,22 +276,18 @@ func (s *Set) LiveInformed(id ID) int {
 }
 
 // AppendHeld appends the sorted IDs of every active rumor node holds to dst
-// and returns the extended slice. Sorted ascending so the result feeds
-// AppendSummary directly. Callable from any node goroutine.
+// and returns the extended slice. It walks the ID-ordered index, so the
+// result comes out ascending and feeds AppendSummary directly. Callable from
+// any node goroutine.
 func (s *Set) AppendHeld(dst []ID, node int) []ID {
-	start := len(dst)
 	s.mu.RLock()
 	row := s.held[node*s.words : (node+1)*s.words]
-	for w := range row {
-		word := row[w].Load()
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			dst = append(dst, s.idOf[w<<6+b])
+	for k, sl := range s.actSl {
+		if row[sl>>6].Load()&(1<<(sl&63)) != 0 {
+			dst = append(dst, s.actID[k])
 		}
 	}
 	s.mu.RUnlock()
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -278,13 +306,9 @@ func (s *Set) HeldCount(node int) int {
 // ActiveIDs appends the sorted IDs of all in-flight rumors to dst.
 // Coordinator/monitor-only.
 func (s *Set) ActiveIDs(dst []ID) []ID {
-	start := len(dst)
 	s.mu.RLock()
-	for id := range s.slotOf {
-		dst = append(dst, id)
-	}
+	dst = append(dst, s.actID...)
 	s.mu.RUnlock()
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -292,13 +316,13 @@ func (s *Set) ActiveIDs(dst []ID) []ID {
 func (s *Set) Active() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.slotOf)
+	return len(s.actID)
 }
 
 // Snapshot returns the current counters.
 func (s *Set) Snapshot() Stats {
 	s.mu.RLock()
-	active := len(s.slotOf)
+	active := len(s.actID)
 	s.mu.RUnlock()
 	return Stats{
 		Active:    active,
@@ -337,24 +361,35 @@ func (s *Set) Retire(ids ...ID) {
 func (s *Set) ExpireConverged() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.liveN == 0 {
+		return 0
+	}
 	freed := 0
-	for id, sl := range s.slotOf {
-		if int(s.live[sl].Load()) >= s.liveN && s.liveN > 0 {
-			s.expireLocked(id, true)
+	for k := 0; k < len(s.actSl); {
+		if int(s.live[s.actSl[k]].Load()) >= s.liveN {
+			s.expireAt(k, true)
 			freed++
+		} else {
+			k++
 		}
 	}
 	return freed
 }
 
-// expireLocked frees the rumor's slot and clears its bit column across all
-// node rows. Caller holds the write lock.
+// expireLocked expires the rumor if it is active. Caller holds the write
+// lock.
 func (s *Set) expireLocked(id ID, wasConverged bool) {
-	sl, ok := s.slotOf[id]
-	if !ok {
-		return
+	if k, ok := slices.BinarySearch(s.actID, id); ok {
+		s.expireAt(k, wasConverged)
 	}
-	delete(s.slotOf, id)
+}
+
+// expireAt removes index entry k, frees its slot and clears the slot's bit
+// column across all node rows. Caller holds the write lock.
+func (s *Set) expireAt(k int, wasConverged bool) {
+	sl := s.actSl[k]
+	s.actID = slices.Delete(s.actID, k, k+1)
+	s.actSl = slices.Delete(s.actSl, k, k+1)
 	s.freeSl = append(s.freeSl, sl)
 	w, mask := sl>>6, uint64(1)<<(sl&63)
 	for node := 0; node < s.n; node++ {
@@ -367,13 +402,13 @@ func (s *Set) expireLocked(id ID, wasConverged bool) {
 	}
 }
 
-// ScanConverged returns the IDs of in-flight rumors held by every node for
-// which isLive reports true. It is the race-free convergence authority for
-// the free-running engine: rather than trusting the advisory live counters
-// (which churn can skew while nodes run), it ANDs the holdings rows of the
-// live nodes word-wise. Rumors with zero live nodes are not reported. The
-// caller expires the returned IDs with Expire. Monitor-only (the scratch
-// accumulator is not reentrant).
+// ScanConverged appends, in ascending ID order, the IDs of in-flight rumors
+// held by every node for which isLive reports true. It is the race-free
+// convergence authority for the free-running engine: rather than trusting
+// the advisory live counters (which churn can skew while nodes run), it ANDs
+// the holdings rows of the live nodes word-wise. Rumors with zero live nodes
+// are not reported. The caller expires the returned IDs with Expire.
+// Monitor-only (the scratch accumulator is not reentrant).
 func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -394,24 +429,12 @@ func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 	if liveNodes == 0 {
 		return dst
 	}
-	for w, word := range s.acc {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			sl := w<<6 + b
-			if sl < s.cap {
-				if id := s.idOf[sl]; s.isActiveSlot(sl, id) {
-					dst = append(dst, id)
-				}
-			}
+	for k, sl := range s.actSl {
+		if s.acc[sl>>6]&(1<<(sl&63)) != 0 {
+			dst = append(dst, s.actID[k])
 		}
 	}
 	return dst
-}
-
-func (s *Set) isActiveSlot(sl int, id ID) bool {
-	got, ok := s.slotOf[id]
-	return ok && got == sl
 }
 
 // Fail marks nodes failed, decrementing the live counters for every rumor
