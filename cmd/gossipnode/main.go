@@ -180,7 +180,7 @@ func run(args []string, out *os.File) error {
 	if rep.SendFailures > 0 {
 		fmt.Fprintf(out, "send failures      %d kernel-refused writes\n", rep.SendFailures)
 	}
-	fmt.Fprintf(out, "bad frames         %d dropped unparsed\n", rep.BadFrames)
+	fmt.Fprintf(out, "bad frames         %d dropped (unparsed or forged source)\n", rep.BadFrames)
 	fmt.Fprintf(out, "wall time          %v\n", rep.Wall.Round(time.Millisecond))
 	if runErr != nil {
 		return runErr

@@ -2,9 +2,14 @@ package live
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/phonecall"
+	"repro/internal/rumorset"
 	"repro/internal/scenario"
 )
 
@@ -26,29 +31,68 @@ func garbageFrames() [][]byte {
 	}
 }
 
-// putGarbage queues copies of every garbage frame round-robin over the
-// transport's mailboxes until total frames are queued, and returns how many
-// landed in each mailbox.
+// forgedFrames returns well-formed frames to node self that claim a source
+// no honest node can have: an index past the mesh, one that decodes
+// negative, and self, which a node never calls. Bare pulls and calls and
+// responses carrying rumor 0 cover both holdings formats.
+func forgedFrames(n, self int) [][]byte {
+	m := phonecall.Message{Tag: tagHoldings, Value: 1, Rumor: true}
+	negative := binary.AppendUvarint([]byte{frameCall, flagPull, 1}, math.MaxUint64)
+	return [][]byte{
+		appendCallFrame(nil, 1, n, false, true, nil),
+		appendCallFrame(nil, 1, self, false, true, nil),
+		appendCallFrame(nil, 1, n+7, true, true, &m),
+		appendRespFrame(nil, 1, self, &m),
+		appendSummaryCallFrame(nil, 1, self, true, []rumorset.ID{0}),
+		appendSummaryRespFrame(nil, 1, n, []rumorset.ID{0}),
+		negative,
+	}
+}
+
+// hostileFrames is every frame a receive loop must reject for node self of
+// an n-node mesh: garbage, then forged sources.
+func hostileFrames(n, self int) [][]byte {
+	return append(garbageFrames(), forgedFrames(n, self)...)
+}
+
+// putGarbage queues hostile frames round-robin over the transport's
+// mailboxes until total frames are queued, and returns how many landed in
+// each mailbox.
 func putGarbage(tr Transport, total int) []int64 {
-	garbage := garbageFrames()
 	perNode := make([]int64, tr.N())
 	for k := 0; k < total; k++ {
-		g := garbage[k%len(garbage)]
 		node := k % tr.N()
-		tr.Mailbox(node).Put(append([]byte(nil), g...))
+		frames := hostileFrames(tr.N(), node)
+		tr.Mailbox(node).Put(frames[k%len(frames)])
 		perNode[node]++
 	}
 	return perNode
 }
 
-// TestFreeRunCountsBadFrames puts garbage frames into the live mailboxes
-// while a free-running run is under way, in bitmask and stream mode: every
-// one is counted exactly once in Report.BadFrames and the run still
-// converges. The frames are queued at the first frontier advance; a rumor
+// forgeryWatch is a transport that counts sends addressed to a forged
+// source: an index outside the mesh, or the sender itself.
+type forgeryWatch struct {
+	Transport
+	forged atomic.Int64
+}
+
+func (w *forgeryWatch) Send(from, to int, frame []byte) {
+	if to < 0 || to >= w.N() || to == from {
+		w.forged.Add(1)
+	}
+	w.Transport.Send(from, to, frame)
+}
+
+// TestFreeRunCountsBadFrames puts garbage and forged-source frames into the
+// live mailboxes while a free-running run is under way, in bitmask and
+// stream mode: every one is counted exactly once in Report.BadFrames, none
+// is answered, and the run still converges. The frames are queued at the
+// first frontier advance; a rumor
 // injected later (bitmask) or a stream still injecting (stream) keeps every
 // node running rounds, and so draining, long after that.
 func TestFreeRunCountsBadFrames(t *testing.T) {
-	const n, total = 16, 45
+	const n = 16
+	total := 3 * len(hostileFrames(n, 0))
 	for _, tc := range []struct {
 		name   string
 		events []scenario.Event
@@ -61,11 +105,12 @@ func TestFreeRunCountsBadFrames(t *testing.T) {
 		{name: "stream", stream: &StreamConfig{Total: 48, Rate: 2, MaxInFlight: 16}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := NewChannelTransport(n, ChannelConfig{})
+			ct, err := NewChannelTransport(n, ChannelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer tr.Close()
+			defer ct.Close()
+			tr := &forgeryWatch{Transport: ct}
 			put := false
 			fr, err := NewFreeRun(FreeRunConfig{
 				N: n, Seed: 3, Rounds: 400, Transport: tr,
@@ -87,8 +132,11 @@ func TestFreeRunCountsBadFrames(t *testing.T) {
 			if !put {
 				t.Fatal("the frontier never advanced")
 			}
-			if rep.BadFrames != total {
+			if rep.BadFrames != int64(total) {
 				t.Fatalf("BadFrames = %d, want %d", rep.BadFrames, total)
+			}
+			if got := tr.forged.Load(); got != 0 {
+				t.Fatalf("%d frames sent to forged sources", got)
 			}
 			if !rep.AllInformed {
 				t.Fatalf("run with garbage frames did not converge: %+v", rep)
@@ -97,16 +145,18 @@ func TestFreeRunCountsBadFrames(t *testing.T) {
 	}
 }
 
-// TestPeerNodeCountsBadFrames checks PeerNode's receive loop: garbage queued
-// in both mailboxes of a two-node deployment is counted per node in
-// PeerReport.BadFrames, and both nodes still converge.
+// TestPeerNodeCountsBadFrames checks PeerNode's receive loop: garbage and
+// forged-source frames queued in both mailboxes of a two-node deployment are
+// counted per node in PeerReport.BadFrames, none is answered, and both nodes
+// still converge.
 func TestPeerNodeCountsBadFrames(t *testing.T) {
-	tr, err := NewChannelTransport(2, ChannelConfig{})
+	ct, err := NewChannelTransport(2, ChannelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	perNode := putGarbage(tr, 13)
+	defer ct.Close()
+	tr := &forgeryWatch{Transport: ct}
+	perNode := putGarbage(tr, 2*len(hostileFrames(2, 0)))
 	reports := make([]PeerReport, 2)
 	errs := make(chan error, 2)
 	for i := range reports {
@@ -135,5 +185,8 @@ func TestPeerNodeCountsBadFrames(t *testing.T) {
 		if !rep.Converged {
 			t.Errorf("peer %d did not converge: %+v", i, rep)
 		}
+	}
+	if got := tr.forged.Load(); got != 0 {
+		t.Errorf("%d frames sent to forged sources", got)
 	}
 }

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,8 +78,9 @@ type FreeRunConfig struct {
 	// the monitor continuously injects rumors at the configured rate through a
 	// bounded in-flight window, nodes gossip variable-length rumor-ID
 	// summaries instead of a 64-bit holdings mask, and converged rumors are
-	// garbage-collected so their window slots recycle. Nil keeps the legacy
-	// bitmask mode, bit-for-bit.
+	// garbage-collected so their window slots recycle. Nil keeps the bitmask
+	// mode, whose 64-rumor holdings word is the only format that runs
+	// Byzantine (CorruptAt) timelines. Both modes run the same node round.
 	Stream *StreamConfig
 }
 
@@ -115,18 +115,6 @@ type FrontierInfo struct {
 	Informed int
 }
 
-// frStats is one node's cumulative accounting, cache-line padded; written by
-// the owner goroutine, read after the run joins.
-type frStats struct {
-	msgs     int64
-	control  int64
-	bits     int64
-	sent     int64
-	bad      int64 // received frames that failed to parse, dropped
-	maxComms int32
-	_        [20]byte // pad to 64 bytes so adjacent nodes do not false-share
-}
-
 // FreeRun executes gossip without a global barrier: every node advances its
 // own round clock, sending and draining frames as it goes, while a monitor
 // goroutine maintains the round frontier, enforces the skew bound, fires
@@ -156,21 +144,19 @@ type FreeRun struct {
 	nextEv  int
 	ignored int // events the runtime could not honor
 
-	// Rumor-stream state (nil/zero in legacy bitmask mode). set is the shared
+	// Rumor-stream state (nil/zero in bitmask mode). set is the shared
 	// ground truth: nodes mark their own rows from their goroutines, the
 	// monitor owns injection, GC and the convergence scan. injectNext, stalls
 	// and telLast are monitor-only; Run reads them after the monitor joins.
 	stream     *StreamConfig
 	set        *rumorset.Set
-	wide       []frWideBuf
 	scanBuf    []rumorset.ID
 	injectNext int
 	stalls     int64
 	telLast    rumorset.Stats
 
-	stats    []frStats
-	overhead int
-	wg       sync.WaitGroup
+	nodes []node // one per node, each owned by its node goroutine
+	wg    sync.WaitGroup
 
 	// tel holds the pre-resolved telemetry counters (nil without a registry):
 	// instrument lookup happens once in NewFreeRun, the node send paths only
@@ -183,21 +169,12 @@ type frTelemetry struct {
 	msgs     *telemetry.Counter // payload + control, like the engine's report
 	bitsSent *telemetry.Counter
 	// Stream series, resolved only with a StreamConfig; updated by the
-	// monitor, so the node send paths stay as cheap as legacy mode.
+	// monitor, so the node send paths stay as cheap as bitmask mode.
 	rumorsActive   *telemetry.Gauge
 	injectedTotal  *telemetry.Counter
 	convergedTotal *telemetry.Counter
 	expiredTotal   *telemetry.Counter
 	stalled        *telemetry.Gauge
-}
-
-// frWideBuf is one node's reusable rumor-stream scratch, touched only by the
-// owner goroutine: sorted holdings for outgoing summaries, a decode buffer
-// for incoming ones, and the round's pending pull requesters.
-type frWideBuf struct {
-	ids   []rumorset.ID
-	sum   []rumorset.ID
-	pulls []int
 }
 
 // frBehavior boxes a node's installed Byzantine behavior so the monitor can
@@ -230,8 +207,9 @@ type Report struct {
 	// MaxComms is the most communications any node participated in during
 	// one of its local rounds.
 	MaxComms int
-	// BadFrames counts received frames that failed to parse and were dropped
-	// (summed over nodes).
+	// BadFrames counts received frames that were dropped because they failed
+	// to parse or claimed a forged source: an index outside the mesh, or the
+	// receiver itself (summed over nodes).
 	BadFrames int64
 	// Drops counts transport-level loss injections (channel transport).
 	Drops int64
@@ -368,14 +346,12 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		roundOf:  make([]atomic.Int64, cfg.N),
 		resume:   make([]atomic.Int64, cfg.N),
 		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
-		stats:    make([]frStats, cfg.N),
-		overhead: net.MessageSize(phonecall.Message{Tag: tagHoldings}),
+		nodes:    make([]node, cfg.N),
 	}
 	if stream != nil {
 		if fr.set, err = rumorset.New(cfg.N, stream.MaxInFlight); err != nil {
 			return nil, fmt.Errorf("live: %w", err)
 		}
-		fr.wide = make([]frWideBuf, cfg.N)
 	}
 	if cfg.Telemetry != nil {
 		by := []telemetry.Label{
@@ -392,6 +368,22 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 			fr.tel.convergedTotal = cfg.Telemetry.Counter("repro_rumors_converged_total", by...)
 			fr.tel.expiredTotal = cfg.Telemetry.Counter("repro_rumors_expired_total", by...)
 			fr.tel.stalled = cfg.Telemetry.Gauge("repro_rumor_injection_stalled", by...)
+		}
+	}
+	overhead := net.MessageSize(phonecall.Message{Tag: tagHoldings})
+	for i := range fr.nodes {
+		nd := &fr.nodes[i]
+		*nd = node{i: i, algo: cfg.Algorithm, net: net, tr: tr}
+		if fr.tel != nil {
+			nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
+		}
+		if fr.set != nil {
+			nd.h = &setHoldings{i: i, net: net, overhead: overhead, set: fr.set}
+		} else {
+			nd.h = &maskHoldings{
+				i: i, net: net, overhead: overhead,
+				held: &fr.held[i], want: &fr.registered, behav: &fr.behav[i],
+			}
 		}
 	}
 	fr.cond = sync.NewCond(&fr.mu)
@@ -439,27 +431,17 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 	}
 
 	rep := Report{N: fr.cfg.N, Rounds: fr.cfg.Rounds, Wall: time.Since(start)}
-	reg := fr.registered.Load()
-	for i := 0; i < fr.cfg.N; i++ {
-		st := &fr.stats[i]
+	for i := range fr.nodes {
+		st := &fr.nodes[i].stats
 		rep.Messages += st.msgs
 		rep.ControlMessages += st.control
 		rep.Bits += st.bits
 		rep.BadFrames += st.bad
-		if int(st.maxComms) > rep.MaxComms {
-			rep.MaxComms = int(st.maxComms)
-		}
-		if r := int(fr.roundOf[i].Load()); r > rep.MaxRound {
-			rep.MaxRound = r
-		}
-		if fr.liveFlag[i].Load() {
-			rep.Live++
-			if fr.held[i].Load()&reg == reg {
-				rep.Informed++
-			}
-		}
+		rep.MaxComms = max(rep.MaxComms, int(st.maxComms))
+		rep.MaxRound = max(rep.MaxRound, int(fr.roundOf[i].Load()))
 	}
-	rep.AllInformed = reg != 0 && rep.Live > 0 && rep.Informed == rep.Live
+	rep.Live, rep.Informed, _, _ = fr.census()
+	rep.AllInformed = fr.converged(rep.Live, rep.Informed)
 	if fr.set != nil {
 		snap := fr.set.Snapshot()
 		rep.RumorsInjected = snap.Injected
@@ -468,16 +450,6 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 		rep.RumorsActive = snap.Active
 		rep.LostInjects = snap.Lost
 		rep.InjectionStalls = fr.stalls
-		// Informed means "holds every still-active rumor"; with the whole
-		// stream injected and GC'd, every live node is trivially informed and
-		// the stream converged.
-		rep.Informed = 0
-		for i := 0; i < fr.cfg.N; i++ {
-			if fr.liveFlag[i].Load() && fr.set.HeldCount(i) == snap.Active {
-				rep.Informed++
-			}
-		}
-		rep.AllInformed = rep.Live > 0 && fr.injectNext == fr.stream.Total && snap.Active == 0
 	}
 	rep.CompletionFrontier = int(fr.completionAt.Load())
 	rep.UnfiredEvents = len(fr.events) - fr.nextEv
@@ -546,29 +518,10 @@ func (fr *FreeRun) tick() {
 	}
 
 	if fr.set != nil {
-		fr.tickStream(frontier, advanced)
-		return
+		fr.advanceStream(frontier)
 	}
 
-	// Convergence: every live node holds every injected rumor.
-	reg := fr.registered.Load()
-	liveCount, informed, allDone := 0, 0, true
-	maxRound := int64(0)
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		if r := fr.roundOf[i].Load(); r > maxRound {
-			maxRound = r
-		}
-		liveCount++
-		if fr.held[i].Load()&reg == reg {
-			informed++
-		}
-		if fr.roundOf[i].Load() < int64(fr.cfg.Rounds) {
-			allDone = false
-		}
-	}
+	liveCount, informed, maxRound, allDone := fr.census()
 	if advanced && fr.cfg.OnFrontier != nil {
 		fr.cfg.OnFrontier(FrontierInfo{
 			Frontier: int(frontier),
@@ -577,7 +530,7 @@ func (fr *FreeRun) tick() {
 			Informed: informed,
 		})
 	}
-	if reg != 0 && liveCount > 0 && informed == liveCount {
+	if fr.converged(liveCount, informed) {
 		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
 		if fr.nextEv >= len(fr.events) {
 			fr.stop()
@@ -597,10 +550,42 @@ func (fr *FreeRun) tick() {
 	}
 }
 
-// tickStream is the monitor pass for rumor-stream mode: garbage-collect
-// converged rumors, advance the injection schedule under window backpressure,
-// and detect stream completion.
-func (fr *FreeRun) tickStream(frontier int64, advanced bool) {
+// census counts the live nodes and those holding every wanted rumor, and
+// finds the furthest live clock; allDone reports that every live node has
+// exhausted its round budget.
+func (fr *FreeRun) census() (live, informed int, maxRound int64, allDone bool) {
+	allDone = true
+	for i := range fr.nodes {
+		if !fr.liveFlag[i].Load() {
+			continue
+		}
+		r := fr.roundOf[i].Load()
+		maxRound = max(maxRound, r)
+		allDone = allDone && r >= int64(fr.cfg.Rounds)
+		live++
+		if held, wanted := fr.nodes[i].h.count(); held == wanted {
+			informed++
+		}
+	}
+	return live, informed, maxRound, allDone
+}
+
+// converged reports whether every live node holds every rumor: in bitmask
+// mode every registered rumor, while a stream has converged once it is fully
+// injected and every rumor was garbage-collected.
+func (fr *FreeRun) converged(live, informed int) bool {
+	if live == 0 {
+		return false
+	}
+	if fr.set != nil {
+		return fr.injectNext == fr.stream.Total && fr.set.Active() == 0
+	}
+	return fr.registered.Load() != 0 && informed == live
+}
+
+// advanceStream is the monitor's rumor-stream work: garbage-collect converged
+// rumors, then advance the injection schedule under window backpressure.
+func (fr *FreeRun) advanceStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
 	// convergence authority here (the advisory per-slot live counters can be
 	// skewed by churn while nodes run). Retiring before injecting is what
@@ -646,47 +631,6 @@ func (fr *FreeRun) tickStream(frontier int64, advanced bool) {
 			fr.tel.stalled.Set(0)
 		}
 		fr.telLast = snap
-	}
-
-	active := fr.set.Active()
-	liveCount, informed, allDone := 0, 0, true
-	maxRound := int64(0)
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		if r := fr.roundOf[i].Load(); r > maxRound {
-			maxRound = r
-		}
-		liveCount++
-		if fr.set.HeldCount(i) == active {
-			informed++
-		}
-		if fr.roundOf[i].Load() < int64(fr.cfg.Rounds) {
-			allDone = false
-		}
-	}
-	if advanced && fr.cfg.OnFrontier != nil {
-		fr.cfg.OnFrontier(FrontierInfo{
-			Frontier: int(frontier),
-			MaxRound: int(maxRound),
-			Live:     liveCount,
-			Informed: informed,
-		})
-	}
-	// Stream completion: everything injected and everything reclaimed.
-	if fr.injectNext == fr.stream.Total && active == 0 && liveCount > 0 {
-		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
-		if fr.nextEv >= len(fr.events) {
-			fr.stop()
-			return
-		}
-	}
-	// Natural end mirrors the legacy tick: budgets exhausted (or nobody
-	// left) and no event can ever fire again.
-	if (allDone || liveCount == 0) &&
-		(fr.nextEv >= len(fr.events) || int64(fr.events[fr.nextEv].EventRound()) > frontier+1) {
-		fr.stop()
 	}
 }
 
@@ -763,7 +707,7 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 			return
 		}
 		fr.registered.Or(1 << e.Rumor)
-		fr.mergeHeld(e.Node, 1<<e.Rumor)
+		fr.held[e.Node].Or(1 << e.Rumor)
 	case scenario.CorruptAt:
 		// Same behavior construction as the scenario driver, wired to the
 		// free-running state: the stale snapshot freezes the node's current
@@ -821,11 +765,6 @@ type frTopology interface {
 	SetPartitioned(part bool)
 }
 
-// mergeHeld ORs mask into node i's holdings.
-func (fr *FreeRun) mergeHeld(i int, mask uint64) {
-	fr.held[i].Or(mask)
-}
-
 // waitSkew blocks while local round r is more than MaxSkew ahead of the
 // frontier; returns false when the run stopped.
 func (fr *FreeRun) waitSkew(r int) bool {
@@ -857,7 +796,8 @@ func (fr *FreeRun) waitAlive(i int) bool {
 // nodeLoop is one node's free-running event loop.
 func (fr *FreeRun) nodeLoop(i int) {
 	defer fr.wg.Done()
-	var drain [][]byte
+	nd := &fr.nodes[i]
+	box := fr.tr.Mailbox(i)
 	r := 1
 	for r <= fr.cfg.Rounds && !fr.stopped.Load() {
 		if !fr.liveFlag[i].Load() {
@@ -866,11 +806,11 @@ func (fr *FreeRun) nodeLoop(i int) {
 			// dead — otherwise a JoinAt-revived node would drain its dead-
 			// period backlog, re-learning rumors it rejoined without and
 			// charging the stale frames as communications.
-			drain = discard(fr.tr.Mailbox(i).TryDrain(drain[:0]))
+			nd.drain = box.TryDrain(nd.drain[:0])[:0]
 			if !fr.waitAlive(i) {
 				return
 			}
-			drain = discard(fr.tr.Mailbox(i).TryDrain(drain[:0]))
+			nd.drain = box.TryDrain(nd.drain[:0])[:0]
 			if res := int(fr.resume[i].Load()); res+1 > r {
 				r = res + 1
 			}
@@ -879,295 +819,8 @@ func (fr *FreeRun) nodeLoop(i int) {
 		if !fr.waitSkew(r) {
 			return
 		}
-		if fr.set != nil {
-			drain = fr.doRoundStream(i, r, drain)
-		} else {
-			drain = fr.doRound(i, r, drain)
-		}
+		nd.round(r)
 		fr.roundOf[i].Store(int64(r))
 		r++
 	}
-}
-
-// discard drops drained frames, keeping the reusable buffer.
-func discard(frames [][]byte) [][]byte { return frames[:0] }
-
-// holdingsMsg encodes a holdings bitmask, charged one payload per rumor.
-func (fr *FreeRun) holdingsMsg(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  fr.overhead + bits.OnesCount64(held)*fr.net.PayloadBits(),
-	}
-}
-
-// doRound runs node i's local round r: initiate one call per the protocol
-// (filtered through the node's installed behavior, if any), drain whatever
-// arrived, answer pulls, merge received holdings.
-func (fr *FreeRun) doRound(i, r int, drain [][]byte) [][]byte {
-	st := &fr.stats[i]
-	reg := fr.registered.Load()
-	held := fr.held[i].Load() & reg
-	comms := int32(0)
-
-	var b phonecall.Behavior
-	if cell := fr.behav[i].Load(); cell != nil {
-		b = cell.b
-	}
-
-	sendPayload := func(j int, m phonecall.Message, wantsPull bool) {
-		m.From = fr.net.ID(i)
-		size := int64(fr.net.MessageSize(m))
-		st.msgs++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, true, wantsPull, &m))
-	}
-	sendPull := func(j int) {
-		size := int64(fr.net.ControlBits())
-		st.control++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	// Build the round's intent exactly like the steppable protocols, then let
-	// the behavior rewrite it — the same seam the barriered engines apply, so
-	// a timeline's adversaries act identically here.
-	var it phonecall.Intent
-	switch fr.algo {
-	case scenario.AlgoPush:
-		if held != 0 {
-			it = phonecall.PushIntent(phonecall.RandomTarget(), fr.holdingsMsg(held))
-		}
-	case scenario.AlgoPull:
-		if held != reg || reg == 0 {
-			it = phonecall.PullIntent(phonecall.RandomTarget())
-		}
-	default: // push-pull
-		if held != 0 {
-			it = phonecall.ExchangeIntent(phonecall.RandomTarget(), fr.holdingsMsg(held))
-		} else {
-			it = phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-		}
-	}
-	j, jok := fr.net.RandomContact(r, i)
-	resolve := func(t phonecall.Target) int {
-		if t.Random {
-			if !jok {
-				return -1 // policy admits no peer: the node sits this round out
-			}
-			return j
-		}
-		if idx, ok := fr.net.IndexOf(t.ID); ok && idx != i {
-			return idx
-		}
-		return -1
-	}
-	if b != nil {
-		target := -1
-		if it.Kind != phonecall.None {
-			target = resolve(it.Target)
-		}
-		it = b.RewriteIntent(r, i, target, it)
-	}
-	if it.Kind != phonecall.None {
-		if dst := resolve(it.Target); dst >= 0 {
-			switch it.Kind {
-			case phonecall.Push:
-				sendPayload(dst, it.Payload, false)
-			case phonecall.Pull:
-				sendPull(dst)
-			case phonecall.Exchange:
-				if it.Payload.HasContent() {
-					sendPayload(dst, it.Payload, true)
-				} else {
-					sendPull(dst)
-				}
-			}
-			comms++
-		}
-	}
-
-	drain = fr.tr.Mailbox(i).TryDrain(drain[:0])
-	var gained uint64
-	for _, raw := range drain {
-		f, err := parseFrame(raw)
-		if err != nil {
-			st.bad++
-			continue
-		}
-		if f.hasPayload && f.msg.Tag == tagHoldings {
-			gained |= f.msg.Value
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		comms++
-		if f.wantsPull {
-			// Respond immediately with current holdings (plus whatever this
-			// drain just taught us — a real process would answer with its
-			// freshest state), filtered through the behavior like the
-			// engine's response wrap.
-			h := (fr.held[i].Load() | gained) & fr.registered.Load()
-			var m phonecall.Message
-			ok := false
-			if h != 0 && fr.algo != scenario.AlgoPush {
-				m, ok = fr.holdingsMsg(h), true
-			}
-			if b != nil {
-				m, ok = b.RewriteResponse(r, i, m, ok)
-			}
-			if ok {
-				m.From = fr.net.ID(i)
-				size := int64(fr.net.MessageSize(m))
-				st.msgs++
-				st.bits += size
-				st.sent++
-				if fr.tel != nil {
-					fr.tel.msgs.AddShard(i, 1)
-					fr.tel.bitsSent.AddShard(i, size)
-				}
-				fr.tr.Send(i, f.src, appendRespFrame(nil, r, i, &m))
-			}
-		}
-	}
-	if gained != 0 {
-		fr.mergeHeld(i, gained&fr.registered.Load())
-	}
-	if comms > st.maxComms {
-		st.maxComms = comms
-	}
-	return drain
-}
-
-// summaryBits charges a summary of count rumor IDs encoded in sumSize bytes
-// with the simulator's wide-path accounting: frame overhead, the summary
-// encoding itself, and one b-bit payload per carried rumor.
-func (fr *FreeRun) summaryBits(count, sumSize int) int64 {
-	return int64(fr.overhead + sumSize*8 + count*fr.net.PayloadBits())
-}
-
-// doRoundStream is doRound for rumor-stream mode: the node advertises the
-// sorted IDs of the active rumors it holds as a variable-length summary
-// frame, merges the summaries it drained into the shared rumor set (its own
-// row — the set's ownership contract), and answers pulls with its freshest
-// holdings. The stream path has no Byzantine seam: ValidateEvents rejects
-// CorruptAt on wide runs.
-func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
-	st := &fr.stats[i]
-	wb := &fr.wide[i]
-	comms := int32(0)
-
-	wb.ids = fr.set.AppendHeld(wb.ids[:0], i)
-	held := wb.ids
-	active := fr.set.Active()
-
-	sendSummary := func(j int, ids []rumorset.ID, wantsPull bool) {
-		sumSize := rumorset.SummarySize(ids)
-		size := fr.summaryBits(len(ids), sumSize)
-		st.msgs++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, newSummaryCallFrame(r, i, wantsPull, ids, sumSize))
-	}
-	sendPull := func(j int) {
-		size := int64(fr.net.ControlBits())
-		st.control++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	// The same intent shape as the steppable protocols' wide path: push stays
-	// silent with nothing to offer, pull stays silent while the node already
-	// holds everything active, push-pull always makes its call.
-	j, jok := fr.net.RandomContact(r, i)
-	switch {
-	case !jok:
-		// Policy admits no peer: the node sits this round out silently (the
-		// free-running engine charges only calls it actually sends).
-	case fr.algo == scenario.AlgoPush:
-		if len(held) > 0 {
-			sendSummary(j, held, false)
-			comms++
-		}
-	case fr.algo == scenario.AlgoPull:
-		if len(held) != active || active == 0 {
-			sendPull(j)
-			comms++
-		}
-	default: // push-pull
-		if len(held) > 0 {
-			sendSummary(j, held, true)
-		} else {
-			sendPull(j)
-		}
-		comms++
-	}
-
-	drain = fr.tr.Mailbox(i).TryDrain(drain[:0])
-	pulls := wb.pulls[:0]
-	for _, raw := range drain {
-		f, err := parseFrameBuf(raw, wb.sum[:0])
-		if err != nil {
-			st.bad++
-			continue
-		}
-		if f.hasSummary {
-			if len(f.sum) > 0 {
-				fr.set.MarkIDs(i, f.sum) // stale/expired IDs are skipped inside
-			}
-			wb.sum = f.sum[:0]
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		comms++
-		if f.wantsPull {
-			pulls = append(pulls, f.src)
-		}
-	}
-	wb.pulls = pulls
-	if len(pulls) > 0 && fr.algo != scenario.AlgoPush {
-		// Answer with the freshest state: everything held going in plus
-		// whatever this drain just merged.
-		resp := fr.set.AppendHeld(wb.ids[:0], i)
-		wb.ids = resp
-		if len(resp) > 0 {
-			sumSize := rumorset.SummarySize(resp)
-			size := fr.summaryBits(len(resp), sumSize)
-			for _, src := range pulls {
-				st.msgs++
-				st.bits += size
-				st.sent++
-				if fr.tel != nil {
-					fr.tel.msgs.AddShard(i, 1)
-					fr.tel.bitsSent.AddShard(i, size)
-				}
-				fr.tr.Send(i, src, newSummaryRespFrame(r, i, resp, sumSize))
-			}
-		}
-	}
-	if comms > st.maxComms {
-		st.maxComms = comms
-	}
-	return drain
 }

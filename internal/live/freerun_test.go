@@ -280,6 +280,71 @@ func TestFreeRunTelemetryMatchesReport(t *testing.T) {
 	}
 }
 
+// TestFreeRunAdversaries drives each Byzantine behavior through the bitmask
+// round's Behavior seam. Every corrupt event must fire. Liars and stale
+// nodes must not keep the rumor from the honest majority, and when every
+// other node eclipses one victim, everyone but the victim learns the rumor.
+// Spammers must cost bits over the honest run with the same seed; they run
+// pull, where honest informed nodes fall silent but a spammer, which never
+// pulls and so never learns the rumor, pushes junk until the budget ends.
+func TestFreeRunAdversaries(t *testing.T) {
+	const n, victim = 64, 5
+	minority := make([]int, 0, n/4)
+	for i := 1; len(minority) < n/4; i += 4 {
+		minority = append(minority, i)
+	}
+	others := make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != victim {
+			others = append(others, i)
+		}
+	}
+	run := func(t *testing.T, algo scenario.Algorithm, events ...scenario.Event) Report {
+		t.Helper()
+		fr, err := NewFreeRun(FreeRunConfig{N: n, Seed: 17, Rounds: 200, Algorithm: algo, Events: events})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fr.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.IgnoredEvents != 0 {
+			t.Fatalf("%d timeline events ignored: %+v", rep.IgnoredEvents, rep)
+		}
+		return rep
+	}
+	inject := scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}
+	corrupt := func(kind scenario.AdversaryKind) scenario.Event {
+		return scenario.CorruptAt{At: 2, Nodes: minority, Adversary: scenario.AdversarySpec{Kind: kind, Seed: 3}}
+	}
+
+	for _, kind := range []scenario.AdversaryKind{scenario.AdvLiar, scenario.AdvStale} {
+		t.Run(string(kind), func(t *testing.T) {
+			rep := run(t, scenario.AlgoPushPull, inject, corrupt(kind))
+			if honest := n - len(minority); rep.Informed < honest {
+				t.Fatalf("informed %d, want at least the %d honest nodes: %+v", rep.Informed, honest, rep)
+			}
+		})
+	}
+	t.Run(string(scenario.AdvSpammer), func(t *testing.T) {
+		honest := run(t, scenario.AlgoPull, inject)
+		spam := run(t, scenario.AlgoPull, inject, corrupt(scenario.AdvSpammer))
+		if spam.Bits <= honest.Bits {
+			t.Fatalf("spammers charged %d bits, honest run %d", spam.Bits, honest.Bits)
+		}
+	})
+	t.Run(string(scenario.AdvEclipse), func(t *testing.T) {
+		rep := run(t, scenario.AlgoPushPull,
+			scenario.CorruptAt{At: 1, Nodes: others, Adversary: scenario.AdversarySpec{
+				Kind: scenario.AdvEclipse, Victims: []int{victim}}},
+			scenario.InjectRumor{At: 3, Node: 0, Rumor: 0})
+		if rep.Live != n || rep.Informed != rep.Live-1 || rep.AllInformed {
+			t.Fatalf("want every node but the eclipsed victim informed: %+v", rep)
+		}
+	})
+}
+
 // TestFreeRunValidation pins the constructor error paths.
 func TestFreeRunValidation(t *testing.T) {
 	if _, err := NewFreeRun(FreeRunConfig{N: 1, Rounds: 10}); err == nil {

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -219,8 +218,8 @@ type PeerReport struct {
 	// progress); SendFailures counts kernel-refused writes.
 	SendMisses   int64
 	SendFailures int64
-	// BadFrames counts received frames that failed to parse and were
-	// dropped.
+	// BadFrames counts received frames that were dropped because they failed
+	// to parse or claimed a forged source (outside the mesh, or this node).
 	BadFrames int64
 	// TableContacts is the final routing-table size (0 on non-peer
 	// transports).
@@ -230,25 +229,16 @@ type PeerReport struct {
 }
 
 // PeerNode drives one node's free-running gossip loop against a Transport
-// whose other endpoints live in other processes. It is FreeRun's doRound
-// distilled to a single node: no monitor, no frontier, no timeline — local
+// whose other endpoints live in other processes. Each local round is the same
+// node round a FreeRun node runs, over the bitmask holdings format; what
+// PeerNode lacks is FreeRun's monitor: no frontier and no timeline — local
 // rounds paced by wall clock, convergence judged against the Expect mask.
 type PeerNode struct {
-	cfg  PeerConfig
-	algo scenario.Algorithm
-	net  *phonecall.Network
-	tr   Transport
+	cfg PeerConfig
+	nd  node
 
-	held     uint64
-	overhead int
-	sawNeedy bool // this round drained evidence of an uninformed peer
-
-	msgs, control, bitsSent int64
-	badFrames               int64
-	maxComms                int32
-
-	telMsgs *telemetry.Counter
-	telBits *telemetry.Counter
+	held, expect atomic.Uint64
+	mask         maskHoldings
 }
 
 // NewPeerNode validates the configuration and prepares the node.
@@ -288,27 +278,33 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	pn := &PeerNode{
-		cfg:      cfg,
-		algo:     cfg.Algorithm,
-		net:      net,
-		tr:       cfg.Transport,
-		held:     cfg.Inject,
-		overhead: net.MessageSize(phonecall.Message{Tag: tagHoldings}),
+	pn := &PeerNode{cfg: cfg}
+	pn.held.Store(cfg.Inject)
+	pn.expect.Store(cfg.Expect)
+	pn.mask = maskHoldings{
+		i: cfg.Index, net: net, overhead: net.MessageSize(phonecall.Message{Tag: tagHoldings}),
+		held: &pn.held, want: &pn.expect,
 	}
+	pn.nd = node{i: cfg.Index, algo: cfg.Algorithm, net: net, tr: cfg.Transport, h: &pn.mask}
 	if cfg.Telemetry != nil {
 		by := []telemetry.Label{
 			{Key: "algo", Value: string(cfg.Algorithm)},
 			{Key: "engine", Value: "peer"},
 		}
-		pn.telMsgs = cfg.Telemetry.Counter("repro_messages_total", by...)
-		pn.telBits = cfg.Telemetry.Counter("repro_bits_total", by...)
+		pn.nd.telMsgs = cfg.Telemetry.Counter("repro_messages_total", by...)
+		pn.nd.telBits = cfg.Telemetry.Counter("repro_bits_total", by...)
 	}
 	return pn, nil
 }
 
 // Net returns the shared ID directory (for deriving the peer ID table).
-func (pn *PeerNode) Net() *phonecall.Network { return pn.net }
+func (pn *PeerNode) Net() *phonecall.Network { return pn.nd.net }
+
+// informed reports whether the node holds every Expect rumor.
+func (pn *PeerNode) informed() bool {
+	held, wanted := pn.mask.count()
+	return held == wanted
+}
 
 func (pn *PeerNode) logf(format string, args ...any) {
 	if pn.cfg.Logf != nil {
@@ -326,14 +322,13 @@ func (pn *PeerNode) Run(ctx context.Context) (PeerReport, error) {
 	}
 	start := time.Now()
 	informedAt := 0
-	if pn.held&pn.cfg.Expect == pn.cfg.Expect {
+	if pn.informed() {
 		informedAt = 1 // seeded with everything; lingering starts immediately
 	}
-	pt, isPeer := pn.tr.(*PeerTransport)
+	pt, isPeer := pn.cfg.Transport.(*PeerTransport)
 	ticker := time.NewTicker(pn.cfg.Interval)
 	defer ticker.Stop()
 
-	var drain [][]byte
 	r := 1
 	quietFrom := 0 // first round of the current quiet streak (0 = not counting)
 	var runErr error
@@ -345,8 +340,8 @@ loop:
 			break loop
 		case <-ticker.C:
 		}
-		drain = pn.doRound(r, drain)
-		if informedAt == 0 && pn.held&pn.cfg.Expect == pn.cfg.Expect {
+		pn.nd.round(r)
+		if informedAt == 0 && pn.informed() {
 			informedAt = r
 			pn.logf("peer %d: informed at local round %d", pn.cfg.Index, r)
 		}
@@ -354,7 +349,7 @@ loop:
 		// uninformed peer restarts it, and a still-empty routing table keeps
 		// it from starting (nobody has arrived to be served yet).
 		switch {
-		case informedAt == 0 || pn.sawNeedy || (isPeer && pt.Membership().Table().Len() == 0):
+		case informedAt == 0 || pn.nd.needy || (isPeer && pt.Membership().Table().Len() == 0):
 			quietFrom = 0
 		case quietFrom == 0:
 			quietFrom = r
@@ -365,6 +360,7 @@ loop:
 		}
 	}
 
+	st := &pn.nd.stats
 	rep := PeerReport{
 		N:               pn.cfg.N,
 		Index:           pn.cfg.Index,
@@ -372,130 +368,20 @@ loop:
 		InformedAt:      informedAt,
 		RoundsRun:       r - 1,
 		Rounds:          pn.cfg.Rounds,
-		Held:            pn.held,
-		Messages:        pn.msgs,
-		ControlMessages: pn.control,
-		Bits:            pn.bitsSent,
-		MaxComms:        int(pn.maxComms),
-		BadFrames:       pn.badFrames,
+		Held:            pn.held.Load(),
+		Messages:        st.msgs,
+		ControlMessages: st.control,
+		Bits:            st.bits,
+		MaxComms:        int(st.maxComms),
+		BadFrames:       st.bad,
 		Wall:            time.Since(start),
 	}
-	if pt, ok := pn.tr.(*PeerTransport); ok {
+	if isPeer {
 		rep.SendMisses = pt.Misses()
 		rep.TableContacts = pt.Membership().Table().Len()
 	}
-	if sf, ok := pn.tr.(SendFailureCounter); ok {
+	if sf, ok := pn.cfg.Transport.(SendFailureCounter); ok {
 		rep.SendFailures = sf.SendFailures()
 	}
 	return rep, runErr
-}
-
-// doRound runs one local round: initiate per the protocol, drain, merge,
-// answer pulls — FreeRun.doRound without the behavior seam or shared state.
-func (pn *PeerNode) doRound(r int, drain [][]byte) [][]byte {
-	i := pn.cfg.Index
-	reg := pn.cfg.Expect
-	held := pn.held & reg
-	comms := int32(0)
-
-	sendPayload := func(j int, m phonecall.Message, wantsPull bool) {
-		m.From = pn.net.ID(i)
-		size := int64(pn.net.MessageSize(m))
-		pn.msgs++
-		pn.bitsSent += size
-		if pn.telMsgs != nil {
-			pn.telMsgs.Add(1)
-			pn.telBits.Add(size)
-		}
-		pn.tr.Send(i, j, appendCallFrame(nil, r, i, true, wantsPull, &m))
-	}
-	sendPull := func(j int) {
-		size := int64(pn.net.ControlBits())
-		pn.control++
-		pn.bitsSent += size
-		if pn.telMsgs != nil {
-			pn.telMsgs.Add(1)
-			pn.telBits.Add(size)
-		}
-		pn.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	j, jok := pn.net.RandomContact(r, i)
-	switch {
-	case !jok || j == i:
-		// No admissible peer this round.
-	case pn.algo == scenario.AlgoPush:
-		if held != 0 {
-			sendPayload(j, pn.holdingsMsg(held), false)
-			comms++
-		}
-	case pn.algo == scenario.AlgoPull:
-		if held != reg {
-			sendPull(j)
-			comms++
-		}
-	default: // push-pull
-		if held != 0 {
-			sendPayload(j, pn.holdingsMsg(held), true)
-		} else {
-			sendPull(j)
-		}
-		comms++
-	}
-
-	drain = pn.tr.Mailbox(i).TryDrain(drain[:0])
-	pn.sawNeedy = false
-	var gained uint64
-	for _, raw := range drain {
-		f, err := parseFrame(raw)
-		if err != nil {
-			pn.badFrames++
-			continue
-		}
-		if f.hasPayload && f.msg.Tag == tagHoldings {
-			gained |= f.msg.Value
-			if f.msg.Value&reg != reg {
-				pn.sawNeedy = true // partial holdings: the sender still lacks rumors
-			}
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		if !f.hasPayload && f.wantsPull {
-			pn.sawNeedy = true // a bare pull only comes from an uninformed node
-		}
-		comms++
-		if f.wantsPull {
-			h := (pn.held | gained) & reg
-			if h != 0 && pn.algo != scenario.AlgoPush {
-				m := pn.holdingsMsg(h)
-				m.From = pn.net.ID(i)
-				size := int64(pn.net.MessageSize(m))
-				pn.msgs++
-				pn.bitsSent += size
-				if pn.telMsgs != nil {
-					pn.telMsgs.Add(1)
-					pn.telBits.Add(size)
-				}
-				pn.tr.Send(i, f.src, appendRespFrame(nil, r, i, &m))
-			}
-		}
-	}
-	if gained != 0 {
-		pn.held |= gained & reg
-	}
-	if comms > pn.maxComms {
-		pn.maxComms = comms
-	}
-	return drain
-}
-
-// holdingsMsg encodes a holdings bitmask, charged one payload per rumor.
-func (pn *PeerNode) holdingsMsg(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  pn.overhead + bits.OnesCount64(held)*pn.net.PayloadBits(),
-	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/phonecall"
+	"repro/internal/scenario"
 )
 
 // TestPeerMeshConverges is the multi-process deployment in miniature: five
@@ -93,6 +94,56 @@ func TestPeerMeshConverges(t *testing.T) {
 		if reports[i].TableContacts == 0 {
 			t.Errorf("peer %d converged with an empty routing table", i)
 		}
+	}
+}
+
+// TestPeerNodeAlgorithms runs each protocol on four PeerNodes over a channel
+// mesh, with three rumors injected at three different nodes: every node must
+// learn all three and then stop on linger, well inside its round budget.
+func TestPeerNodeAlgorithms(t *testing.T) {
+	const n, rounds = 4, 2000
+	for _, algo := range scenario.Algorithms() {
+		t.Run(string(algo), func(t *testing.T) {
+			tr, err := NewChannelTransport(n, ChannelConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			reports := make([]PeerReport, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				var inject uint64
+				if i < 3 {
+					inject = 1 << i
+				}
+				pn, err := NewPeerNode(PeerConfig{
+					N: n, Index: i, Seed: 21, Rounds: rounds,
+					Interval: time.Millisecond, Linger: 20, Algorithm: algo,
+					Inject: inject, Expect: 0b111, Transport: tr,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					reports[i], errs[i] = pn.Run(context.Background())
+				}()
+			}
+			wg.Wait()
+			for i, rep := range reports {
+				if errs[i] != nil {
+					t.Fatalf("peer %d: %v", i, errs[i])
+				}
+				if !rep.Converged || rep.Held != 0b111 {
+					t.Errorf("peer %d did not learn every rumor: %+v", i, rep)
+				}
+				if rep.RoundsRun >= rounds {
+					t.Errorf("peer %d ran its whole budget instead of stopping on linger: %+v", i, rep)
+				}
+			}
+		})
 	}
 }
 
