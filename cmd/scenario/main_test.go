@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,5 +134,40 @@ func TestRunTopologyFlags(t *testing.T) {
 		return run([]string{"-spec", specPath})
 	}); err == nil {
 		t.Error("zone events without a topology accepted")
+	}
+}
+
+// TestRunRumorSetSpec runs the committed rumor-set spec: sparse rumor IDs
+// through a two-slot window under crash, join and loss, with rumor 100
+// re-injected after it was retired. Every rumor must complete, and rumor
+// 100's completion must fall in its second epoch.
+func TestRunRumorSetSpec(t *testing.T) {
+	out, err := testutil.CaptureStdout(t, func() error {
+		return run([]string{"-spec", filepath.Join("..", "..", "examples", "churn", "rumorset-spec.json"), "-workers", "2"})
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, marker := range []string{
+		"inject rumor 4000000000 at node 9", "inject rumor 70000 at node 4; inject rumor 100 at node 5",
+		"rumor 100 (injected round 1)", "rumor 70000 (injected round 20)", "rumor 4000000000 (injected round 1)",
+	} {
+		if !strings.Contains(out, marker) {
+			t.Errorf("output missing %q:\n%s", marker, out)
+		}
+	}
+	if strings.Contains(out, "never completed") {
+		t.Errorf("a rumor never completed:\n%s", out)
+	}
+	var done int
+	for _, line := range strings.Split(out, "\n") {
+		if _, round, ok := strings.Cut(line, "completed at round "); ok && strings.HasPrefix(line, "rumor 100 ") {
+			if _, err := fmt.Sscan(round, &done); err != nil {
+				t.Fatalf("rumor 100 line %q: %v", line, err)
+			}
+		}
+	}
+	if done <= 20 {
+		t.Errorf("rumor 100 completed at round %d, before its round-20 re-injection", done)
 	}
 }

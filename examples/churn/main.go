@@ -10,7 +10,9 @@
 //
 // comparing push, pull and push-pull on identical timelines. The JSON twin
 // of scenario 1 lives in spec.json — run it with
-// `go run ./cmd/scenario -spec examples/churn/spec.json`.
+// `go run ./cmd/scenario -spec examples/churn/spec.json`. Its rumor-set
+// sibling, rumorset-spec.json, streams sparse rumor IDs through a two-slot
+// in-flight window under the same kind of churn.
 package main
 
 import (

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -117,6 +118,13 @@ func TestRunOptionValidation(t *testing.T) {
 			WithTimeline(CrashAt{At: 2, Nodes: []int{500}})}},
 		{"bad scenario spec", 0, []Option{WithScenarioSpec([]byte(`{"bogus`))}},
 		{"missing scenario file", 0, []Option{WithScenarioFile("/nonexistent/spec.json")}},
+		{"NaN loss", 100, []Option{WithLoss(math.NaN(), 1)}},
+		{"NaN loss event", 100, []Option{WithTimeline(LossAt{At: 2, Rate: math.NaN(), Seed: 1})}},
+		{"NaN frame loss", 100, []Option{OnFreeRunning(0, 0), WithFrameLoss(math.NaN(), 1)}},
+		{"NaN stream rate", 100, []Option{OnFreeRunning(0, 0), WithRumorStream(math.NaN(), 16, 8)}},
+		{"infinite stream rate", 100, []Option{OnFreeRunning(0, 0), WithRumorStream(math.Inf(1), 16, 8)}},
+		{"NaN spammer rate", 100, []Option{WithTimeline(CorruptAt{
+			At: 1, Nodes: []int{1}, Behavior: AdversarySpammer, Rate: math.NaN(), Seed: 1})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

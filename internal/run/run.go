@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -343,10 +344,10 @@ func (s Spec) Validate() error {
 	if s.FailureRound < 0 {
 		return invalidf("negative FailureRound %d", s.FailureRound)
 	}
-	if s.LossRate < 0 || s.LossRate > 1 {
+	if math.IsNaN(s.LossRate) || s.LossRate < 0 || s.LossRate > 1 {
 		return invalidf("LossRate %v outside [0,1]", s.LossRate)
 	}
-	if s.Drop < 0 || s.Drop > 1 {
+	if math.IsNaN(s.Drop) || s.Drop < 0 || s.Drop > 1 {
 		return invalidf("transport drop rate %v outside [0,1]", s.Drop)
 	}
 	if s.MaxSkew < 0 {
@@ -358,8 +359,8 @@ func (s Spec) Validate() error {
 	if s.StreamTotal < 0 {
 		return invalidf("negative StreamTotal %d", s.StreamTotal)
 	}
-	if s.StreamRate < 0 {
-		return invalidf("negative StreamRate %v", s.StreamRate)
+	if math.IsNaN(s.StreamRate) || math.IsInf(s.StreamRate, 0) || s.StreamRate < 0 {
+		return invalidf("StreamRate %v is not a finite non-negative rate", s.StreamRate)
 	}
 	if s.StreamRate > 0 && s.StreamTotal == 0 {
 		return invalidf("StreamRate %v without a stream (set StreamTotal)", s.StreamRate)

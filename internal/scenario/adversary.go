@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/phonecall"
 	"repro/internal/rng"
@@ -67,7 +68,7 @@ func (s AdversarySpec) Validate(n int) error {
 	default:
 		return fmt.Errorf("%w: unknown adversary kind %q (have liar, spammer, eclipse, stale)", ErrSpec, s.Kind)
 	}
-	if s.Rate < 0 || s.Rate > 1 {
+	if math.IsNaN(s.Rate) || s.Rate < 0 || s.Rate > 1 {
 		return fmt.Errorf("%w: adversary rate %v outside [0,1]", ErrSpec, s.Rate)
 	}
 	if err := checkNodes(n, s.Victims); err != nil {
@@ -94,13 +95,18 @@ func (e CorruptAt) Describe() string {
 	return fmt.Sprintf("corrupt %d nodes (%s)", len(e.Nodes), e.Adversary.Kind)
 }
 
-// Apply implements Event. Works with or without a tracker: closed algorithms
-// (tr == nil) have no holdings, so the stale adversary freezes to the empty
-// mask (mute) and the liar forges nothing.
-func (e CorruptAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+// Apply implements Event. Works with the bitmask ledger or without one:
+// closed algorithms (l == nil) have no holdings, so the stale adversary
+// freezes to the empty mask (mute) and the liar forges nothing. Behaviors
+// rewrite uint64 holdings masks, so the rumor-set ledger cannot host them.
+func (e CorruptAt) Apply(net *phonecall.Network, l ledger) error {
 	var held func(int) uint64
 	var registered func() uint64
-	if tr != nil {
+	if l != nil {
+		tr := l.tracker()
+		if tr == nil {
+			return fmt.Errorf("%w: corrupt at round %d: byzantine behaviors need the bitmask ledger", ErrSpec, e.At)
+		}
 		held = tr.Held
 		registered = tr.Registered
 	}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/phonecall"
 )
@@ -10,9 +9,9 @@ import (
 // The steppable protocols: multi-rumor generalizations of the classical
 // uniform gossip protocols, expressed directly through the engine's per-node
 // callback contract so the scenario driver can interleave timeline events
-// between rounds. A node's holdings are a single uint64 bitmask (one bit per
-// rumor, see phonecall.RumorTracker); a message carries the sender's whole
-// holdings and is charged one payload per carried rumor.
+// between rounds. A message carries the sender's whole holdings, in the
+// format of the run's ledger (ledger.go), and is charged one payload per
+// carried rumor.
 //
 // The paper's clustering algorithms are phase-structured, closed drivers and
 // are not steppable; they run under scenarios through Timeline.Attach
@@ -51,60 +50,53 @@ func (a Algorithm) orDefault() (Algorithm, error) {
 	}
 }
 
-// tagRumorSet marks messages whose Value is a holdings bitmask.
+// tagRumorSet marks messages that carry holdings.
 const tagRumorSet uint8 = 111
 
-// protocol binds one steppable protocol to a network and tracker.
+// protocol binds one steppable protocol to a holdings ledger. Delivery needs
+// no protocol logic: the ledger's merge is the engine's deliver callback.
 type protocol struct {
 	algo     Algorithm
-	net      *phonecall.Network
-	tr       *phonecall.RumorTracker
-	overhead int // bits charged for the non-payload part of a holdings message
+	l        ledger
+	overhead int // bits charged for the tag and counters of a holdings message
+	payload  int // b, charged once per carried rumor
 }
 
-func newProtocol(algo Algorithm, net *phonecall.Network, tr *phonecall.RumorTracker) *protocol {
-	return &protocol{
-		algo: algo,
-		net:  net,
-		tr:   tr,
-		// Tag and counter bits, as the engine would charge a payload-free
-		// message; each carried rumor then adds one b-bit payload.
-		overhead: net.MessageSize(phonecall.Message{Tag: tagRumorSet}),
+func newProtocol(algo Algorithm, net *phonecall.Network, l ledger) *protocol {
+	overhead := net.MessageSize(phonecall.Message{Tag: tagRumorSet})
+	return &protocol{algo: algo, l: l, overhead: overhead, payload: net.PayloadBits()}
+}
+
+// message encodes node i's holdings (ok=false: it holds nothing).
+func (p *protocol) message(i int, resp bool) (phonecall.Message, bool) {
+	value, ids, rumors, digestBits := p.l.held(i, resp)
+	if rumors == 0 {
+		return phonecall.Message{}, false
 	}
+	return phonecall.Message{Tag: tagRumorSet, Rumor: true, Value: value, IDs: ids,
+		Bits: p.overhead + digestBits + rumors*p.payload}, true
 }
 
-// message encodes a holdings bitmask, charged one payload per carried rumor.
-func (p *protocol) message(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagRumorSet,
-		Value: held,
-		Rumor: true,
-		Bits:  p.overhead + bits.OnesCount64(held)*p.net.PayloadBits(),
-	}
-}
-
-// intent implements the per-node initiation of the selected protocol. Reads
-// only node i's own holdings word plus the coordinator-written registered
-// mask, per the engine's callback contract.
+// intent implements the per-node initiation of the selected protocol: push
+// stays silent when empty, pull stays silent when the node holds every rumor
+// in flight, push-pull always exchanges. Reads only node i's own holdings
+// plus coordinator-written ledger state, per the engine's callback contract.
 func (p *protocol) intent(i int) phonecall.Intent {
-	held := p.tr.Held(i)
 	switch p.algo {
 	case AlgoPush:
-		if held == 0 {
+		m, ok := p.message(i, false)
+		if !ok {
 			return phonecall.Silent()
 		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), p.message(held))
+		return phonecall.PushIntent(phonecall.RandomTarget(), m)
 	case AlgoPull:
-		if held == p.tr.Registered() {
-			// Holds every rumor injected so far: nothing left to ask for.
+		if p.l.holdsAll(i) {
 			return phonecall.Silent()
 		}
 		return phonecall.PullIntent(phonecall.RandomTarget())
 	default: // AlgoPushPull
-		if held == 0 {
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-		}
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), p.message(held))
+		m, _ := p.message(i, false)
+		return phonecall.ExchangeIntent(phonecall.RandomTarget(), m)
 	}
 }
 
@@ -114,22 +106,5 @@ func (p *protocol) response(j int) (phonecall.Message, bool) {
 	if p.algo == AlgoPush {
 		return phonecall.Message{}, false
 	}
-	held := p.tr.Held(j)
-	if held == 0 {
-		return phonecall.Message{}, false
-	}
-	return p.message(held), true
-}
-
-// deliver merges every received holdings mask into the receiver's own.
-func (p *protocol) deliver(i int, inbox []phonecall.Message) {
-	var mask uint64
-	for _, m := range inbox {
-		if m.Tag == tagRumorSet {
-			mask |= m.Value
-		}
-	}
-	if mask != 0 {
-		p.tr.MarkSet(i, mask)
-	}
+	return p.message(j, true)
 }

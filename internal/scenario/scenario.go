@@ -17,8 +17,8 @@
 //   - Timeline.Attach layers the same churn and loss events under ANY
 //     existing protocol (the paper's clustering algorithms, the baselines)
 //     through the engine's OnRoundStart hook, without changing the per-node
-//     callback contract. InjectRumor events need a tracker and are the one
-//     event kind a closed algorithm cannot honor.
+//     callback contract. InjectRumor events need a rumor ledger and are the
+//     one event kind a closed algorithm cannot honor.
 //
 // Determinism contract: everything is a pure function of (scenario, seed).
 // Events fire on the coordinator goroutine between rounds; random targets
@@ -29,14 +29,18 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/failure"
 	"repro/internal/phonecall"
 	"repro/internal/policy"
+	"repro/internal/rumorset"
 )
 
 // Event is one timeline entry. An event with EventRound() == r is applied at
@@ -47,10 +51,31 @@ type Event interface {
 	EventRound() int
 	// Describe renders the event for per-phase traces.
 	Describe() string
-	// Apply executes the event against the network. tr may be nil when the
-	// timeline runs under a closed (non-scenario-aware) protocol; events
-	// that need per-rumor state return an error in that case.
-	Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error
+	// Apply executes the event against the network. l is the scenario
+	// driver's holdings ledger, nil when the timeline runs under a closed
+	// (non-scenario-aware) protocol; events that need per-rumor state return
+	// an error in that case.
+	Apply(net *phonecall.Network, l ledger) error
+}
+
+// failNodes crashes nodes through the ledger, or on the bare network under a
+// closed protocol.
+func failNodes(net *phonecall.Network, l ledger, nodes []int) {
+	if l != nil {
+		l.fail(nodes)
+	} else {
+		net.Fail(nodes...)
+	}
+}
+
+// reviveNodes revives nodes through the ledger (rejoin uninformed), or on the
+// bare network under a closed protocol.
+func reviveNodes(net *phonecall.Network, l ledger, nodes []int) {
+	if l != nil {
+		l.revive(nodes)
+	} else {
+		net.Revive(nodes...)
+	}
 }
 
 // CrashAt fails the listed nodes at the start of round At. Crashed nodes
@@ -68,20 +93,16 @@ func (e CrashAt) EventRound() int { return e.At }
 func (e CrashAt) Describe() string { return fmt.Sprintf("crash %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e CrashAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr != nil {
-		tr.Fail(e.Nodes...)
-	} else {
-		net.Fail(e.Nodes...)
-	}
+func (e CrashAt) Apply(net *phonecall.Network, l ledger) error {
+	failNodes(net, l, e.Nodes)
 	return nil
 }
 
 // JoinAt revives (or late-starts) the listed nodes at the start of round At.
 // Under the scenario driver a joining node starts uninformed — it forgets
-// every rumor it held before crashing. Under a closed protocol (Timeline
-// without tracker) the node rejoins with whatever protocol state it had,
-// which models a process that was partitioned away rather than restarted.
+// every rumor it held before crashing. Under a closed protocol (a Timeline)
+// the node rejoins with whatever protocol state it had, which models a
+// process that was partitioned away rather than restarted.
 type JoinAt struct {
 	At    int
 	Nodes []int
@@ -94,12 +115,8 @@ func (e JoinAt) EventRound() int { return e.At }
 func (e JoinAt) Describe() string { return fmt.Sprintf("join %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e JoinAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr != nil {
-		tr.Revive(e.Nodes...)
-	} else {
-		net.Revive(e.Nodes...)
-	}
+func (e JoinAt) Apply(net *phonecall.Network, l ledger) error {
+	reviveNodes(net, l, e.Nodes)
 	return nil
 }
 
@@ -120,7 +137,7 @@ func (e Loss) EventRound() int { return e.At }
 func (e Loss) Describe() string { return fmt.Sprintf("loss rate %.2f", e.Rate) }
 
 // Apply implements Event.
-func (e Loss) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e Loss) Apply(net *phonecall.Network, _ ledger) error {
 	net.SetLoss(e.Rate, e.Seed)
 	return nil
 }
@@ -144,11 +161,14 @@ func (e InjectRumor) Describe() string {
 }
 
 // Apply implements Event.
-func (e InjectRumor) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr == nil {
-		return fmt.Errorf("scenario: InjectRumor needs the scenario driver (closed protocols have no rumor tracker)")
+func (e InjectRumor) Apply(net *phonecall.Network, l ledger) error {
+	if l == nil {
+		return fmt.Errorf("scenario: InjectRumor needs the scenario driver (closed protocols have no rumor ledger)")
 	}
-	return tr.Inject(e.Node, e.Rumor)
+	if err := l.inject(e.Node, rumorset.ID(e.Rumor)); err != nil {
+		return fmt.Errorf("scenario: round %d: %w", e.At, err)
+	}
+	return nil
 }
 
 // FromTimed converts a timed oblivious adversary (internal/failure) into a
@@ -172,10 +192,9 @@ func sortEvents(events []Event) []Event {
 // churn and loss under closed protocols (the paper's algorithms, the
 // baselines) without touching their code.
 type Timeline struct {
-	events  []Event
-	next    int
-	tracker *phonecall.RumorTracker
-	err     error
+	events []Event
+	next   int
+	err    error
 }
 
 // NewTimeline builds a timeline from the events (stably sorted by round).
@@ -183,17 +202,11 @@ func NewTimeline(events ...Event) *Timeline {
 	return &Timeline{events: sortEvents(events)}
 }
 
-// WithTracker routes crash/join/inject events through a rumor tracker so the
-// per-rumor live counters stay consistent. Returns the timeline.
-func (tl *Timeline) WithTracker(tr *phonecall.RumorTracker) *Timeline {
-	tl.tracker = tr
-	return tl
-}
-
 // Attach registers the timeline on the network. Subsequent ExecRound calls
 // fire due events before evaluating intents. Check Err after the run: event
-// application errors (for example InjectRumor without a tracker) stop the
-// timeline but, running inside the engine, cannot abort the protocol.
+// application errors (for example InjectRumor, which needs a rumor ledger)
+// stop the timeline but, running inside the engine, cannot abort the
+// protocol.
 func (tl *Timeline) Attach(net *phonecall.Network) {
 	net.OnRoundStart(func(round int) { tl.advance(net, round) })
 }
@@ -201,7 +214,7 @@ func (tl *Timeline) Attach(net *phonecall.Network) {
 // advance applies every event due at or before round.
 func (tl *Timeline) advance(net *phonecall.Network, round int) {
 	for tl.err == nil && tl.next < len(tl.events) && tl.events[tl.next].EventRound() <= round {
-		tl.err = tl.events[tl.next].Apply(net, tl.tracker)
+		tl.err = tl.events[tl.next].Apply(net, nil)
 		tl.next++
 	}
 }
@@ -232,15 +245,15 @@ type Scenario struct {
 	Events []Event
 	// MaxInFlight bounds the rumor-set window on the wide (>64-rumor) path; 0
 	// sizes the window to hold every distinct injected rumor. Setting it also
-	// forces the wide path for small workloads (conformance testing against
-	// the bitmask path). An injection that finds the window full — GC has not
-	// reclaimed enough converged rumors — aborts the run with
+	// forces the rumor-set ledger for small workloads (conformance testing
+	// against the bitmask ledger). An injection that finds the window full —
+	// GC has not reclaimed enough converged rumors — aborts the run with
 	// rumorset.ErrFull; preplanned timelines have no one to backpressure.
 	MaxInFlight int
 }
 
-// Wide reports whether the scenario needs the scalable rumor-set path: a
-// rumor ID beyond the bitmask range, or an explicit MaxInFlight window.
+// Wide reports whether the scenario runs over the scalable rumor-set ledger:
+// a rumor ID beyond the bitmask range, or an explicit MaxInFlight window.
 func (sc Scenario) Wide() bool {
 	if sc.MaxInFlight > 0 {
 		return true
@@ -285,7 +298,7 @@ func ValidateEvents(n int, wide bool, events []Event) error {
 				return fmt.Errorf("%w: join at round %d: %w", ErrSpec, e.At, err)
 			}
 		case Loss:
-			if e.Rate < 0 || e.Rate > 1 {
+			if math.IsNaN(e.Rate) || e.Rate < 0 || e.Rate > 1 {
 				return fmt.Errorf("%w: loss rate %v outside [0,1]", ErrSpec, e.Rate)
 			}
 		case InjectRumor:
@@ -442,11 +455,13 @@ type RumorOutcome struct {
 	// InjectRound is the round at which the rumor was first injected.
 	InjectRound int
 	// LiveInformed and LiveFraction report how many live nodes held the
-	// rumor when the budget ran out.
+	// rumor when the budget ran out. A rumor the rumor-set ledger retired
+	// reports the count when it was retired, with LiveFraction 1.
 	LiveInformed int
 	LiveFraction float64
 	// CompletionRound is the first round at whose end every live node held
-	// the rumor (0 if that never happened within the budget).
+	// the rumor (0 if that never happened within the budget). A re-injection
+	// after retirement opens a new epoch and reports its completion instead.
 	CompletionRound int
 }
 
@@ -470,8 +485,8 @@ type Result struct {
 	// rejoin-uninformed semantics erase it — without this counter such an
 	// event would be a silent no-op.
 	LostInjects int64
-	// RumorsExpired counts rumors the wide path's GC reclaimed after
-	// convergence (0 on the bitmask path, which never expires).
+	// RumorsExpired counts rumors the rumor-set ledger retired after
+	// convergence (0 on the bitmask ledger, which never retires).
 	RumorsExpired int64
 	// Rumors holds the final per-rumor outcomes, ordered by rumor ID; Phases
 	// the per-phase trace.
@@ -491,6 +506,26 @@ func (r Result) MinLiveFraction() float64 {
 	return minFrac
 }
 
+// fate is the round loop's record of one rumor, kept after a retiring
+// ledger has forgotten it.
+type fate struct {
+	id              rumorset.ID
+	injectRound     int // first injection
+	completionRound int // 0: not complete in the current epoch
+	doneInformed    int // live-informed at completion
+	retired         bool
+}
+
+// fateOf returns the index of id's entry in the ID-ordered fates, inserting a
+// fresh one first if there is none.
+func fateOf(fates *[]fate, id rumorset.ID) int {
+	k, ok := slices.BinarySearchFunc(*fates, id, func(f fate, id rumorset.ID) int { return cmp.Compare(f.id, id) })
+	if !ok {
+		*fates = slices.Insert(*fates, k, fate{id: id})
+	}
+	return k
+}
+
 // Run executes the scenario with one of the steppable multi-rumor protocols
 // and returns the per-phase trace. The execution is bit-identical for any
 // cfg.Workers value. A done ctx aborts between rounds with the context's
@@ -507,9 +542,6 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if sc.Wide() {
-		return runWide(ctx, sc, cfg, algo, workers)
-	}
 	net, err := phonecall.New(phonecall.Config{
 		N:           sc.N,
 		Seed:        cfg.Seed,
@@ -522,6 +554,10 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if _, err := policy.Install(net, cfg.Topology, cfg.Policy); err != nil {
 		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
+	l, err := newLedger(sc, net)
+	if err != nil {
+		return Result{}, err
+	}
 	if ctx != nil {
 		net.SetContext(ctx)
 		defer phonecall.RecoverAbort(&err)
@@ -530,28 +566,35 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		if b, ok := cfg.Observer.(phonecall.NetworkBinder); ok {
 			b.BindNetwork(net)
 		}
+		// Tracker-aware observers (the oracle's honest-node invariants) see
+		// the rumor state the protocols act on; the rumor-set ledger has no
+		// bitmask tracker to show them.
+		if b, ok := cfg.Observer.(phonecall.TrackerBinder); ok && l.tracker() != nil {
+			b.BindTracker(l.tracker())
+		}
 		net.Observe(cfg.Observer)
 	}
-	tr := phonecall.NewRumorTracker(net)
-	if cfg.Observer != nil {
-		// Tracker-aware observers (the oracle's honest-node invariants) see
-		// the rumor state the protocols act on.
-		if b, ok := cfg.Observer.(phonecall.TrackerBinder); ok {
-			b.BindTracker(tr)
-		}
-	}
-	proto := newProtocol(algo, net, tr)
+	proto := newProtocol(algo, net, l)
 	events := sortEvents(sc.Events)
 
 	res = Result{Scenario: sc.Name, Algorithm: algo, N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
-	var injectRound, completionRound [phonecall.MaxRumors]int
+	var fates []fate
+	var ids, retire []rumorset.ID
+	informed := func() []RumorCount {
+		var out []RumorCount
+		ids = l.activeIDs(ids[:0])
+		for _, id := range ids {
+			out = append(out, RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: l.liveInformed(id)})
+		}
+		return out
+	}
 
 	next := 0
 	cur := PhaseReport{FromRound: 1}
 	closePhase := func(to int) {
 		cur.ToRound = to
 		cur.Live = net.LiveCount()
-		cur.Informed = informedCounts(tr)
+		cur.Informed = informed()
 		res.Phases = append(res.Phases, cur)
 	}
 
@@ -565,17 +608,23 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		}
 		for next < len(events) && events[next].EventRound() <= r {
 			ev := events[next]
-			if err := ev.Apply(net, tr); err != nil {
+			if err := ev.Apply(net, l); err != nil {
 				return Result{}, err
 			}
-			if inj, ok := ev.(InjectRumor); ok && injectRound[inj.Rumor] == 0 {
-				injectRound[inj.Rumor] = r
+			if inj, ok := ev.(InjectRumor); ok {
+				f := &fates[fateOf(&fates, rumorset.ID(inj.Rumor))]
+				if f.injectRound == 0 {
+					f.injectRound = r
+				} else if f.retired {
+					// Re-injection of a retired rumor opens a new epoch.
+					*f = fate{id: f.id, injectRound: f.injectRound}
+				}
 			}
 			cur.Events = append(cur.Events, ev.Describe())
 			next++
 		}
 
-		rep := net.ExecRound(proto.intent, proto.response, proto.deliver)
+		rep := net.ExecRound(proto.intent, proto.response, l.merge)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {
@@ -583,13 +632,22 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		}
 
 		// Completion: the first round at whose end every live node held the
-		// rumor. Later churn (a joiner arriving uninformed) does not clear
-		// an already-recorded completion.
+		// rumor. It is recorded once — later churn (a joiner arriving
+		// uninformed) does not clear it — and then the ledger may retire the
+		// rumor, freeing its slot.
 		if live := net.LiveCount(); live > 0 {
-			reg := tr.Registered()
-			for id := 0; reg != 0; id, reg = id+1, reg>>1 {
-				if reg&1 != 0 && completionRound[id] == 0 && tr.LiveInformed(phonecall.RumorID(id)) >= live {
-					completionRound[id] = r
+			ids = l.activeIDs(ids[:0])
+			retire = retire[:0]
+			for _, id := range ids {
+				f := &fates[fateOf(&fates, id)]
+				if li := l.liveInformed(id); f.completionRound == 0 && li >= live {
+					f.completionRound, f.doneInformed = r, li
+					retire = append(retire, id)
+				}
+			}
+			if len(retire) > 0 && l.retire(retire) {
+				for _, id := range retire {
+					fates[fateOf(&fates, id)].retired = true
 				}
 			}
 		}
@@ -598,37 +656,29 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 
 	m := net.Metrics()
 	res.Live = net.LiveCount()
-	res.LostInjects = tr.LostInjects()
+	res.LostInjects = l.lost()
+	res.RumorsExpired = l.expired()
 	res.Messages = m.Messages
 	res.ControlMessages = m.ControlMessages
 	res.Bits = m.Bits
 	res.MessagesPerNode = m.MessagesPerNode()
 	res.MaxCommsPerRound = m.MaxCommsPerRound
-	for _, rc := range informedCounts(tr) {
+	for _, f := range fates {
 		out := RumorOutcome{
-			Rumor:           rc.Rumor,
-			InjectRound:     injectRound[rc.Rumor],
-			LiveInformed:    rc.LiveInformed,
-			CompletionRound: completionRound[rc.Rumor],
+			Rumor:           phonecall.RumorID(f.id),
+			InjectRound:     f.injectRound,
+			CompletionRound: f.completionRound,
 		}
-		if res.Live > 0 {
-			out.LiveFraction = float64(rc.LiveInformed) / float64(res.Live)
+		if f.retired {
+			// Converged over the then-live population.
+			out.LiveInformed, out.LiveFraction = f.doneInformed, 1
+		} else {
+			out.LiveInformed = l.liveInformed(f.id)
+			if res.Live > 0 {
+				out.LiveFraction = float64(out.LiveInformed) / float64(res.Live)
+			}
 		}
 		res.Rumors = append(res.Rumors, out)
 	}
 	return res, nil
-}
-
-// informedCounts snapshots the live-informed count of every registered
-// rumor, ordered by rumor ID.
-func informedCounts(tr *phonecall.RumorTracker) []RumorCount {
-	var out []RumorCount
-	reg := tr.Registered()
-	for id := 0; reg != 0; id, reg = id+1, reg>>1 {
-		if reg&1 != 0 {
-			r := phonecall.RumorID(id)
-			out = append(out, RumorCount{Rumor: r, LiveInformed: tr.LiveInformed(r)})
-		}
-	}
-	return out
 }

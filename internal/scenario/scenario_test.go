@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -271,6 +272,7 @@ func TestValidate(t *testing.T) {
 		{"crash out of range", Scenario{N: 10, Rounds: 5, Events: []Event{inject, CrashAt{At: 2, Nodes: []int{10}}}}, false},
 		{"join out of range", Scenario{N: 10, Rounds: 5, Events: []Event{inject, JoinAt{At: 2, Nodes: []int{-1}}}}, false},
 		{"loss rate", Scenario{N: 10, Rounds: 5, Events: []Event{inject, Loss{At: 1, Rate: 1.5}}}, false},
+		{"NaN loss rate", Scenario{N: 10, Rounds: 5, Events: []Event{inject, Loss{At: 1, Rate: math.NaN()}}}, false},
 		{"inject node", Scenario{N: 10, Rounds: 5, Events: []Event{InjectRumor{At: 1, Node: 99, Rumor: 0}}}, false},
 		{"wide rumor id", Scenario{N: 10, Rounds: 5, Events: []Event{InjectRumor{At: 1, Node: 0, Rumor: 64}}}, true},
 		{"wide forced by window", Scenario{N: 10, Rounds: 5, MaxInFlight: 4, Events: []Event{inject}}, true},

@@ -10,11 +10,12 @@ import (
 )
 
 // TestWideMatchesBitmaskPath is the conformance check for the rumor-set
-// path: the same small, churn-free scenario run once on the legacy bitmask
-// path and once forced wide (MaxInFlight set) must reach identical per-rumor
+// ledger: the same small scenario run once on the bitmask ledger and once
+// forced onto the rumor set (MaxInFlight set) must reach identical per-rumor
 // fates — same completion rounds, same informed counts. (Traffic totals
-// legitimately differ: the wide path retires converged rumors and stops
-// re-advertising them.)
+// legitimately differ: the rumor set retires converged rumors and stops
+// re-advertising them.) The churn case adds a crash wave, a rejoin and a
+// late inject at a rejoined node, over several seeds.
 func TestWideMatchesBitmaskPath(t *testing.T) {
 	for _, algo := range Algorithms() {
 		t.Run(string(algo), func(t *testing.T) {
@@ -24,37 +25,56 @@ func TestWideMatchesBitmaskPath(t *testing.T) {
 				InjectRumor{At: 6, Node: 9, Rumor: 13},
 				Loss{At: 4, Rate: 0.05, Seed: 11},
 			}
-			base := Scenario{N: 48, Rounds: 60, Algorithm: algo, Events: events}
-			wide := base
-			wide.MaxInFlight = 8
-			if base.Wide() || !wide.Wide() {
-				t.Fatal("wideness detection broken")
-			}
-			cfg := Config{Seed: 42}
-			rb, err := Run(context.Background(), base, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rw, err := Run(context.Background(), wide, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rb.Rumors) != len(rw.Rumors) {
-				t.Fatalf("rumor counts differ: bitmask %d, wide %d", len(rb.Rumors), len(rw.Rumors))
-			}
-			for i := range rb.Rumors {
-				b, w := rb.Rumors[i], rw.Rumors[i]
-				if b.Rumor != w.Rumor || b.InjectRound != w.InjectRound {
-					t.Fatalf("rumor %d identity differs: %+v vs %+v", i, b, w)
+			checkFormatsAgree(t, Scenario{N: 48, Rounds: 60, Algorithm: algo, Events: events}, 42)
+			t.Run("churn", func(t *testing.T) {
+				churn := []Event{
+					InjectRumor{At: 1, Node: 0, Rumor: 0},
+					InjectRumor{At: 3, Node: 5, Rumor: 7},
+					Loss{At: 4, Rate: 0.05, Seed: 11},
+					CrashAt{At: 5, Nodes: []int{1, 2, 3, 4, 20, 21, 22, 30}},
+					JoinAt{At: 14, Nodes: []int{1, 2, 20, 21}},
+					InjectRumor{At: 18, Node: 2, Rumor: 13}, // late, at a rejoined node
 				}
-				if b.CompletionRound != w.CompletionRound {
-					t.Errorf("rumor %d completion: bitmask %d, wide %d", b.Rumor, b.CompletionRound, w.CompletionRound)
+				for seed := uint64(1); seed <= 20; seed++ {
+					checkFormatsAgree(t, Scenario{N: 48, Rounds: 60, Algorithm: algo, Events: churn}, seed)
 				}
-				if b.CompletionRound == 0 && b.LiveInformed != w.LiveInformed {
-					t.Errorf("rumor %d informed: bitmask %d, wide %d", b.Rumor, b.LiveInformed, w.LiveInformed)
-				}
-			}
+			})
 		})
+	}
+}
+
+// checkFormatsAgree runs base on the bitmask ledger and again with an 8-slot
+// rumor-set window, and compares the per-rumor fates.
+func checkFormatsAgree(t *testing.T, base Scenario, seed uint64) {
+	t.Helper()
+	wide := base
+	wide.MaxInFlight = 8
+	if base.Wide() || !wide.Wide() {
+		t.Fatal("wideness detection broken")
+	}
+	cfg := Config{Seed: seed}
+	rb, err := Run(context.Background(), base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := Run(context.Background(), wide, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rb.Rumors) != len(rw.Rumors) {
+		t.Fatalf("seed %d: rumor counts differ: bitmask %d, wide %d", seed, len(rb.Rumors), len(rw.Rumors))
+	}
+	for i := range rb.Rumors {
+		b, w := rb.Rumors[i], rw.Rumors[i]
+		if b.Rumor != w.Rumor || b.InjectRound != w.InjectRound {
+			t.Fatalf("seed %d: rumor %d identity differs: %+v vs %+v", seed, i, b, w)
+		}
+		if b.CompletionRound != w.CompletionRound {
+			t.Errorf("seed %d: rumor %d completion: bitmask %d, wide %d", seed, b.Rumor, b.CompletionRound, w.CompletionRound)
+		}
+		if b.CompletionRound == 0 && b.LiveInformed != w.LiveInformed {
+			t.Errorf("seed %d: rumor %d informed: bitmask %d, wide %d", seed, b.Rumor, b.LiveInformed, w.LiveInformed)
+		}
 	}
 }
 

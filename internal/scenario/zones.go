@@ -45,7 +45,7 @@ func (e ZoneOutage) EventRound() int { return e.At }
 func (e ZoneOutage) Describe() string { return fmt.Sprintf("zone %d outage", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneOutage) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e ZoneOutage) Apply(net *phonecall.Network, l ledger) error {
 	tv, err := topology(net, "zone outage")
 	if err != nil {
 		return err
@@ -53,18 +53,12 @@ func (e ZoneOutage) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) er
 	if e.Zone < 0 || e.Zone >= tv.Zones() {
 		return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
 	}
-	members := tv.ZoneMembers(e.Zone)
-	if tr != nil {
-		tr.Fail(members...)
-	} else {
-		net.Fail(members...)
-	}
+	failNodes(net, l, tv.ZoneMembers(e.Zone))
 	return nil
 }
 
 // ZoneHeal revives every failed node of a zone at the start of round At.
-// Under the scenario driver the zone rejoins uninformed (RumorTracker
-// semantics, like JoinAt).
+// Under the scenario driver the zone rejoins uninformed, like JoinAt.
 type ZoneHeal struct {
 	At   int
 	Zone int
@@ -77,7 +71,7 @@ func (e ZoneHeal) EventRound() int { return e.At }
 func (e ZoneHeal) Describe() string { return fmt.Sprintf("zone %d heals", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneHeal) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e ZoneHeal) Apply(net *phonecall.Network, l ledger) error {
 	tv, err := topology(net, "zone heal")
 	if err != nil {
 		return err
@@ -85,12 +79,7 @@ func (e ZoneHeal) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) erro
 	if e.Zone < 0 || e.Zone >= tv.Zones() {
 		return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
 	}
-	members := tv.ZoneMembers(e.Zone)
-	if tr != nil {
-		tr.Revive(members...)
-	} else {
-		net.Revive(members...)
-	}
+	reviveNodes(net, l, tv.ZoneMembers(e.Zone))
 	return nil
 }
 
@@ -109,7 +98,7 @@ func (e Partition) EventRound() int { return e.At }
 func (e Partition) Describe() string { return "partition zones" }
 
 // Apply implements Event.
-func (e Partition) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e Partition) Apply(net *phonecall.Network, _ ledger) error {
 	tv, err := topology(net, "partition")
 	if err != nil {
 		return err
@@ -130,7 +119,7 @@ func (e HealPartition) EventRound() int { return e.At }
 func (e HealPartition) Describe() string { return "heal partition" }
 
 // Apply implements Event.
-func (e HealPartition) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e HealPartition) Apply(net *phonecall.Network, _ ledger) error {
 	tv, err := topology(net, "heal partition")
 	if err != nil {
 		return err
